@@ -18,7 +18,7 @@ import numpy as np
 from .coarse import newton_direction
 from .core import DECREMENT_SQ_LIMIT, sample_without_replacement, spd_solve
 from .errors import InvalidDimensions, NotPositiveDefinite, OutOfDomain
-from .objectives import ObjectiveModel
+from .objectives import ObjectiveModel, Ray
 from .rng import RngState
 from .solver import (
     CONVERGED,
@@ -81,19 +81,24 @@ class BaselineConfig:
 
 
 def newsamp_hessian(
-    model: ObjectiveModel, x: np.ndarray, rows: np.ndarray, rank: int
+    model: ObjectiveModel,
+    x: np.ndarray,
+    rows: np.ndarray,
+    rank: int,
+    w2: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Row-sampled Hessian truncated to rank ``rank`` plus a spectral floor.
 
     Keeps the top ``rank`` eigenpairs and replaces the tail by the (rank+1)-th
     eigenvalue times the identity on the complement, which preserves positive
-    definiteness whenever that eigenvalue is positive.
+    definiteness whenever that eigenvalue is positive. ``w2``, the curvature
+    row weights at ``x``, skips forming ``A x``.
     """
     N = model.dataset.N
     if not 0 <= rank < N:
         raise InvalidDimensions(f"rank must be in [0, N), got {rank} with N={N}")
     full = np.arange(N, dtype=np.int64)
-    h = model.reduced_hessian(x, full, rows)
+    h = model.reduced_hessian(x, full, rows, w2=w2)
     vals, vecs = np.linalg.eigh(h)
     vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
     floor = float(vals[rank])
@@ -132,8 +137,8 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
     k = 0
     while True:
         elapsed = time.monotonic() - started
-        g = model.gradient(x)
-        f_x = model.evaluate(x)
+        point = model.point(x)
+        g = point.g
         gn = float(np.linalg.norm(g))
 
         try:
@@ -151,7 +156,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
                 dec_sq = gn * gn
                 t0 = cfg.sgd_t / (1.0 + cfg.sgd_gamma * k)
             elif cfg.method == NEWTON:
-                d, lam = newton_direction(model, x)
+                d, lam = newton_direction(model, x, point=point)
                 g_used = g
                 dec_sq = lam * lam
             else:  # subnewton / newsamp
@@ -161,14 +166,15 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
                     else np.arange(m, dtype=np.int64)
                 )
                 if cfg.method == SUBNEWTON:
-                    h = model.reduced_hessian(x, np.arange(model.dataset.N, dtype=np.int64), rows)
+                    h = model.reduced_hessian(x, np.arange(model.dataset.N, dtype=np.int64), rows,
+                                              w2=point.w2)
                 else:
-                    h = newsamp_hessian(model, x, rows, rank)
+                    h = newsamp_hessian(model, x, rows, rank, w2=point.w2)
                 d = spd_solve(h, -g)
                 g_used = g
                 dec_sq = max(-float(g @ d), 0.0)
         except NotPositiveDefinite as exc:
-            result.trace.append(TraceRecord(k, elapsed, f_x, gn, np.nan, None, 0.0, FINE, 0))
+            result.trace.append(TraceRecord(k, elapsed, point.f, gn, np.nan, None, 0.0, FINE, 0))
             result.x_final = x
             result.status = ERROR
             result.message = str(exc)
@@ -178,7 +184,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
         record = TraceRecord(
             iter=k,
             elapsed_s=elapsed,
-            f=f_x,
+            f=point.f,
             grad_norm=gn,
             lambda_hat=float(np.sqrt(max(-float(g_used @ d), 0.0))),
             lam=None,
@@ -206,9 +212,10 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
         else:
             # GD starts at the unit step; the Newton-family methods use the
             # damped step (feasibility-grown on the Poisson domain).
-            start = 1.0 if cfg.method == GD else _initial_step(model, x, d, decrement, cfg.zeta)
+            ray = Ray(model, x, d, z=point.z)
+            start = 1.0 if cfg.method == GD else _initial_step(ray, decrement, cfg.zeta)
             t, backtracks = armijo_search(
-                model, x, d, float(g_used @ d), start, cfg.alpha, cfg.beta
+                model, x, d, float(g_used @ d), start, cfg.alpha, cfg.beta, ray=ray
             )
         record.step = t
         record.backtracks = backtracks

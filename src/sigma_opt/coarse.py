@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import sample_without_replacement, spd_solve
 from .errors import InvalidDimensions
-from .objectives import ObjectiveModel, _check_index_set
+from .objectives import ObjectiveModel, Point, _check_index_set
 from .rng import RngState
 
 
@@ -39,11 +39,12 @@ class CoarseOperator:
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Reduced curvature ``Q_H`` and reduced gradient ``R grad f`` at ``x_ref``."""
+    """Reduced curvature ``Q_H``, reduced gradient ``R grad f``, and the gathered
+    columns ``A[:, S]`` (m x n), from which a coarse step's ``A d`` costs O(m n)."""
 
     q: np.ndarray
     g: np.ndarray
-    x_ref: np.ndarray
+    block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,19 @@ def galerkin_system(
     x: np.ndarray,
     op: CoarseOperator,
     row_sample: np.ndarray | None = None,
+    point: Point | None = None,
 ) -> GalerkinSystem:
-    """Assemble ``Q_H`` and the reduced gradient at ``x`` in O(m n^2)."""
-    q = model.reduced_hessian(x, op.indices, row_sample)
-    g = model.reduced_gradient(x, op.indices)
-    return GalerkinSystem(q=q, g=g, x_ref=np.array(x, copy=True))
+    """Assemble ``Q_H`` and the reduced gradient at ``x`` in O(m n^2).
+
+    ``point`` is ``model.point(x)`` when the caller already has it. The columns
+    ``A[:, S]`` are gathered once, over every row, for the curvature and for
+    the step.
+    """
+    if point is None:
+        point = model.point(x)
+    block = np.take(model.dataset.A, op.indices, axis=1)
+    q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, block=block)
+    return GalerkinSystem(q=q, g=point.g[op.indices], block=block)
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
@@ -113,10 +122,15 @@ def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
     return CoarseStep(d_coarse, prolong(op, d_coarse), float(np.sqrt(max(lam_sq, 0.0))))
 
 
-def newton_direction(model: ObjectiveModel, x: np.ndarray) -> NewtonStep:
-    """Full Newton direction and decrement (materializes the N x N Hessian)."""
-    g = model.gradient(x)
-    d = spd_solve(model.hessian(x), -g)
+def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None) -> NewtonStep:
+    """Full Newton direction and decrement (materializes the N x N Hessian).
+
+    ``point`` is ``model.point(x)`` when the caller already has it.
+    """
+    if point is None:
+        point = model.point(x)
+    g = point.g
+    d = spd_solve(model.hessian(x, w2=point.w2), -g)
     lam_sq = -float(g @ d)
     return NewtonStep(d, float(np.sqrt(max(lam_sq, 0.0))))
 
@@ -141,6 +155,7 @@ def decrements(
 ) -> Decrements:
     """Approximate decrement from the coarse path; the Newton decrement only on
     request (it costs a dense factorization)."""
-    step = coarse_direction(galerkin_system(model, x, op, row_sample), op)
-    lam = newton_direction(model, x).lam if want_newton else None
+    point = model.point(x)
+    step = coarse_direction(galerkin_system(model, x, op, row_sample, point=point), op)
+    lam = newton_direction(model, x, point=point).lam if want_newton else None
     return Decrements(lambda_hat=step.lambda_hat, lam=lam)

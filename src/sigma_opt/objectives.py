@@ -103,6 +103,21 @@ class DomainStatus:
     margin: float
 
 
+@dataclass(frozen=True)
+class Point:
+    """The model evaluated once at an iterate ``x``.
+
+    ``z = A x``, the objective ``f`` and the full gradient ``g`` (bit-identical
+    to ``evaluate(x)`` and ``gradient(x)``), and the curvature row weights
+    ``w2``, which are nonnegative for all three GLMs.
+    """
+
+    z: np.ndarray
+    f: float
+    g: np.ndarray
+    w2: np.ndarray
+
+
 def poisson_scale(b: np.ndarray, m: int) -> float:
     """Self-concordance scaling ``M^2/4`` with ``M = 2 sqrt(m) max_i(1/sqrt(b_i))``.
 
@@ -157,24 +172,38 @@ class ObjectiveModel:
 
     # -- oracles -----------------------------------------------------------
 
+    def _terms(self, x: np.ndarray):
+        z = self.predict(x)
+        self._check_domain(z)
+        return z, kernels.glm_terms(self.kind, z, self.dataset.b)
+
+    def point(self, x: np.ndarray) -> Point:
+        """Evaluate ``x`` once: one ``A x``, one pass of the GLM terms, one ``A^T w``.
+
+        Raises :class:`OutOfDomain` on infeasible Poisson iterates.
+        """
+        z, (loss, w1, w2) = self._terms(x)
+        f = self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
+        return Point(z=z, f=f, g=self.gradient(x, w1=w1), w2=w2)
+
     def evaluate(self, x: np.ndarray) -> float:
         """Objective value. Raises :class:`OutOfDomain` on infeasible Poisson iterates."""
-        z = self.predict(x)
-        self._check_domain(z)
-        loss, _, _ = kernels.glm_terms(self.kind, z, self.dataset.b)
+        _, (loss, _, _) = self._terms(x)
         return self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        z = self.predict(x)
-        self._check_domain(z)
-        _, w1, _ = kernels.glm_terms(self.kind, z, self.dataset.b)
+    def gradient(self, x: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+        """Full gradient; ``w1``, the first-derivative row weights at ``x``, skips forming ``A x``."""
+        if w1 is None:
+            _, (_, w1, _) = self._terms(x)
         return self._row_coeff(self.dataset.m) * (self.dataset.A.T @ w1) + self.reg.grad(x)
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Dense N x N Hessian; intended for N small enough to materialize."""
-        z = self.predict(x)
-        self._check_domain(z)
-        _, _, w2 = kernels.glm_terms(self.kind, z, self.dataset.b)
+    def hessian(self, x: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
+        """Dense N x N Hessian; intended for N small enough to materialize.
+
+        ``w2``, the curvature row weights at ``x``, skips forming ``A x``.
+        """
+        if w2 is None:
+            _, (_, _, w2) = self._terms(x)
         A = self.dataset.A
         h = self._row_coeff(self.dataset.m) * (A.T @ (w2[:, None] * A))
         h = 0.5 * (h + h.T)
@@ -188,23 +217,33 @@ class ObjectiveModel:
         return self.gradient(x)[S]
 
     def reduced_hessian(
-        self, x: np.ndarray, S: np.ndarray, row_sample: np.ndarray | None = None
+        self,
+        x: np.ndarray,
+        S: np.ndarray,
+        row_sample: np.ndarray | None = None,
+        w2: np.ndarray | None = None,
+        block: np.ndarray | None = None,
     ) -> np.ndarray:
         """The ``S x S`` block of the Hessian in O(len(rows) * n^2).
 
         With ``row_sample`` given, the data term is the reweighted sum over the
         sampled rows (full rows reproduce the exact block). Never forms the
-        N x N Hessian.
+        N x N Hessian. ``w2``, the curvature row weights at ``x``, skips forming
+        ``A x``; ``block``, the columns ``A[:, S]`` already gathered, skips the
+        column gather.
         """
         S = _check_index_set(S, self.dataset.N)
         if row_sample is None:
             rows = np.arange(self.dataset.m, dtype=np.int64)
         else:
             rows = _check_index_set(row_sample, self.dataset.m)
-        z = self.predict(x)
-        self._check_domain(z)
-        _, _, w2 = kernels.glm_terms(self.kind, z, self.dataset.b)
-        q = self._row_coeff(rows.shape[0]) * kernels.gram_gather(self.dataset.A, w2, S, rows)
+        if w2 is None:
+            _, (_, _, w2) = self._terms(x)
+        if block is None:
+            gram = kernels.gram_gather(self.dataset.A, w2, S, rows)
+        else:
+            gram = kernels.gram_gather(block, w2, np.arange(S.shape[0], dtype=np.int64), rows)
+        q = self._row_coeff(rows.shape[0]) * gram
         d = self.reg.hess_diag(x[S])
         q[np.diag_indices_from(q)] += d
         return q
@@ -216,15 +255,17 @@ class Ray:
     ``delta(t)`` returns ``f(x + t d) - f(x)`` computed without subtracting
     large near-equal values, so line searches keep resolving decrements far
     below the rounding noise of the absolute objective value. Each call is
-    O(m + N) after the two matrix-vector products paid at construction.
+    O(m + N). ``z = A x`` and ``dz = A d`` are formed at construction unless
+    the caller passes them.
     """
 
-    def __init__(self, model: "ObjectiveModel", x: np.ndarray, d: np.ndarray):
+    def __init__(self, model: "ObjectiveModel", x: np.ndarray, d: np.ndarray,
+                 z: np.ndarray | None = None, dz: np.ndarray | None = None):
         self.model = model
         self.x = x
         self.d = d
-        self.z = model.predict(x)
-        self.dz = model.predict(d)
+        self.z = model.predict(x) if z is None else z
+        self.dz = model.predict(d) if dz is None else dz
         if model.kind == POISSON and float(self.z.min()) <= 0.0:
             raise OutOfDomain("ray base point is infeasible")
         if model.kind == GAUSSIAN:
@@ -234,8 +275,10 @@ class Ray:
         elif model.kind == LOGISTIC:
             from scipy.special import expit
 
-            self._sig = expit(-model.dataset.b * self.z)
-            self._bdz = model.dataset.b * self.dz
+            # row loss softplus(u) with u = -b z; along the ray u moves by t v
+            self._u = -model.dataset.b * self.z
+            self._v = -model.dataset.b * self.dz
+            self._sig = expit(self._u)
 
     def feasible(self, t: float) -> bool:
         if self.model.kind != POISSON:
@@ -249,13 +292,27 @@ class Ray:
         if model.kind == GAUSSIAN:
             row = coeff * (t * self._s1 + 0.5 * t * t * self._s2)
         elif model.kind == LOGISTIC:
-            with np.errstate(over="ignore"):
-                row = coeff * float(np.sum(np.log1p(self._sig * np.expm1(-t * self._bdz))))
+            row = coeff * float(np.sum(self._logistic_rows(t)))
         else:
             if not self.feasible(t):
                 raise OutOfDomain("trial point left the Poisson domain")
             row = coeff * float(np.sum(t * self.dz - model.dataset.b * np.log1p(t * self.dz / self.z)))
         return row + self._reg_delta(t)
+
+    def _logistic_rows(self, t: float) -> np.ndarray:
+        """Per-row ``softplus(u + t v) - softplus(u)``, finite wherever both terms are."""
+        h = t * self._v
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # log(1 + sigma(u) (e^h - 1)): full accuracy for small steps
+            arg = self._sig * np.expm1(h)
+            out = np.log1p(arg)
+        # Where 1 + arg cancels (sigma(u) rounds to 1 and e^h to 0), or arg
+        # overflows or is 0 * inf, sum log(sigma(-u) + sigma(u) e^h) in log space.
+        far = ~((arg > -0.5) & (arg < np.inf))
+        if far.any():
+            u = self._u[far]
+            out[far] = np.logaddexp(-np.logaddexp(0.0, u), h[far] - np.logaddexp(0.0, -u))
+        return out
 
     def _reg_delta(self, t: float) -> float:
         reg = self.model.reg

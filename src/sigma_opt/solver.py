@@ -9,6 +9,10 @@ search never returns less than ``beta`` times that value. For the Poisson
 model the search instead starts from the damped step grown while the trial
 point stays inside the open domain.
 
+Each iterate is evaluated once (:meth:`ObjectiveModel.point`): one ``A x``
+and one ``A^T w`` per iteration, with the coarse step's ``A d`` formed from
+the gathered columns ``A[:, S]``.
+
 The run stops when the squared decrement of the computed direction falls to
 ``epsilon`` (inclusive), which bounds the sub-optimality gap by ``epsilon``
 for tolerances below ``0.68^2``.
@@ -190,6 +194,7 @@ def armijo_search(
     t0: float,
     alpha: float,
     beta: float,
+    ray: Optional[Ray] = None,
 ) -> tuple[float, int]:
     """Backtrack from ``t0`` until ``f(x + t d) <= f(x) + alpha t dir_deriv``.
 
@@ -198,10 +203,12 @@ def armijo_search(
     rounding noise of the absolute objective value. Candidate points outside
     the objective's domain are rejected like failed descent tests. Fails after
     60 reductions, which signals a non-descent direction or a domain pathology.
+    ``ray`` is ``Ray(model, x, d)`` when the caller already has it.
     """
     if not dir_deriv < 0:
         raise LineSearchFailed(f"directional derivative must be negative, got {dir_deriv}")
-    ray = Ray(model, x, d)
+    if ray is None:
+        ray = Ray(model, x, d)
     t = t0
     for backtracks in range(61):
         try:
@@ -214,7 +221,12 @@ def armijo_search(
 
 
 def poisson_feasible_step(
-    model: ObjectiveModel, x: np.ndarray, d: np.ndarray, lam_hat: float, zeta: float
+    model: ObjectiveModel,
+    x: np.ndarray,
+    d: np.ndarray,
+    lam_hat: float,
+    zeta: float,
+    ray: Optional[Ray] = None,
 ) -> float:
     """Initial step for the Poisson model: start at the damped step, grow by
     ``zeta`` while the trial point stays feasible, and cap at 1.
@@ -222,14 +234,9 @@ def poisson_feasible_step(
     If the damped start itself is infeasible it is halved first (the damped
     value comes from a curvature bound, not from feasibility). The returned
     ``t`` is feasible and zeta-maximal: either ``t == 1`` or ``zeta * t`` leaves
-    the domain.
+    the domain. ``ray`` is ``Ray(model, x, d)`` when the caller already has it.
     """
-    z = model.predict(x)
-    dz = model.predict(d)
-
-    def feasible(t: float) -> bool:
-        return float(np.min(z + t * dz)) > 0.0
-
+    feasible = (ray if ray is not None else Ray(model, x, d)).feasible
     t = damped_initial_step(lam_hat)
     for _ in range(200):
         if feasible(t):
@@ -244,13 +251,22 @@ def poisson_feasible_step(
     return min(t, 1.0)
 
 
-def _initial_step(model: ObjectiveModel, x, d, decrement: float, zeta: float) -> float:
+def _initial_step(ray: Ray, decrement: float, zeta: float) -> float:
     # Classic backtracking starts at the unit step; self-concordance guarantees
     # the search never falls below beta * 1/(1 + decrement). On the Poisson
     # domain the start instead grows from the damped step while feasible.
-    if model.kind == POISSON:
-        return poisson_feasible_step(model, x, d, decrement, zeta)
+    if ray.model.kind == POISSON:
+        return poisson_feasible_step(ray.model, ray.x, ray.d, decrement, zeta, ray=ray)
     return 1.0
+
+
+def _coarse_step(model: ObjectiveModel, x, point, op: CoarseOperator, rows):
+    """The coarse step at ``x``, its reduced gradient, and ``A d`` from the
+    gathered columns in O(m n). The gathered block and the reduced curvature
+    are dropped on return, before the next iterate gathers its own."""
+    system = galerkin_system(model, x, op, rows, point=point)
+    step = coarse_direction(system, op)
+    return step, system.g, system.block @ step.d_coarse
 
 
 def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> SolveResult:
@@ -279,24 +295,23 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
     k = 0
     while True:
         elapsed = time.monotonic() - started
-        g = model.gradient(x)
-        f_x = model.evaluate(x)
+        point = model.point(x)
         try:
             op = frozen if frozen is not None else build_operator(N, cfg.n, rng)
             rows = sample_without_replacement(m, cfg.row_sample, rng) if sample_rows else None
-            sys = galerkin_system(model, x, op, rows)
-            step = coarse_direction(sys, op)
+            step, g_reduced, dz = _coarse_step(model, x, point, op, rows)
 
             lam: Optional[float] = None
             d_fine: Optional[np.ndarray] = None
             if cfg.check_mode == FULL_DECREMENT:
-                d_fine, lam = newton_direction(model, x)
-            chosen = direction_select(step.lambda_hat, lam, g, sys.g, cfg)
+                d_fine, lam = newton_direction(model, x, point=point)
+            chosen = direction_select(step.lambda_hat, lam, point.g, g_reduced, cfg)
             if chosen == FINE and d_fine is None:
-                d_fine, lam = newton_direction(model, x)
+                d_fine, lam = newton_direction(model, x, point=point)
         except NotPositiveDefinite as exc:
             result.trace.append(
-                TraceRecord(k, elapsed, f_x, float(np.linalg.norm(g)), np.nan, None, 0.0, COARSE, 0)
+                TraceRecord(k, elapsed, point.f, float(np.linalg.norm(point.g)), np.nan, None, 0.0,
+                            COARSE, 0)
             )
             result.x_final = x
             result.status = ERROR
@@ -306,14 +321,14 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
         if chosen == COARSE:
             d, decrement = step.d_hat, step.lambda_hat
         else:
-            d, decrement = d_fine, lam
+            d, decrement, dz = d_fine, lam, model.predict(d_fine)
         dec_sq = decrement * decrement
 
         record = TraceRecord(
             iter=k,
             elapsed_s=elapsed,
-            f=f_x,
-            grad_norm=float(np.linalg.norm(g)),
+            f=point.f,
+            grad_norm=float(np.linalg.norm(point.g)),
             lambda_hat=step.lambda_hat,
             lam=lam,
             step=0.0,
@@ -334,13 +349,17 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
             result.status = TIMEOUT
             break
 
-        t0 = _initial_step(model, x, d, decrement, cfg.zeta)
-        t, backtracks = armijo_search(model, x, d, float(g @ d), t0, cfg.alpha, cfg.beta)
+        ray = Ray(model, x, d, z=point.z, dz=dz)
+        t0 = _initial_step(ray, decrement, cfg.zeta)
+        t, backtracks = armijo_search(model, x, d, float(point.g @ d), t0, cfg.alpha, cfg.beta,
+                                      ray=ray)
         record.step = t
         record.backtracks = backtracks
         result.trace.append(record)
         x = x + t * d
         k += 1
+        # this iterate's arrays go before the next one is evaluated
+        del point, step, d, d_fine, dz, ray
 
     result.x_final = x
     result.final_decrement_sq = dec_sq

@@ -107,6 +107,7 @@ class TestGalerkinSystem:
         op = CoarseOperator(np.array([0, 2], dtype=np.int64), 4)
         sys = galerkin_system(model, x, op)
         assert np.allclose(sys.q, model.hessian(x)[np.ix_(op.indices, op.indices)], atol=1e-12)
+        assert np.array_equal(sys.block, model.dataset.A[:, op.indices])
 
 
 class TestCoarseDirection:

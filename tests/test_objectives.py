@@ -273,3 +273,53 @@ def test_ray_delta_matches_naive_difference(gen):
     for t in (0.0, 0.2, 1.0):
         naive = model.evaluate(x + t * d) - model.evaluate(x)
         assert ray.delta(t) == pytest.approx(naive, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("builder", [random_gaussian_model, random_logistic_model,
+                                     random_poisson_model])
+def test_point_matches_separate_oracles(builder, gen):
+    model = builder(gen, reg=Regularization(xi2=1e-3, xi1=1e-3))
+    x = feasible_start(model)
+    if model.kind != "poisson":
+        x = x + gen.standard_normal(model.dataset.N)
+    p = model.point(x)
+    assert np.array_equal(p.z, model.predict(x))
+    assert p.f == model.evaluate(x)
+    assert np.array_equal(p.g, model.gradient(x))
+    assert np.array_equal(model.hessian(x, w2=p.w2), model.hessian(x))
+    assert np.all(p.w2 >= 0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "poisson"])
+@pytest.mark.parametrize("margin", [1.0, 40.0, 1e3])
+def test_ray_delta_matches_difference_at_large_margins(kind, margin):
+    # margins |a_i^T x| up to `margin`, and directions that move them by up to
+    # twice that, so logistic sigmoids saturate at 0 and 1 on both ends
+    gen = np.random.default_rng(int(margin) + len(kind))
+    m, N = 30, 4
+    if kind == "poisson":
+        A = gen.uniform(0.1, 1.1, size=(m, N))
+        b = np.maximum(1.0, gen.poisson(3.0, m)).astype(np.float64)
+    else:
+        A = gen.standard_normal((m, N))
+        b = gen.standard_normal(m) if kind == "gaussian" else np.where(gen.random(m) > 0.5, 1.0, -1.0)
+    model = make_objective(kind, Dataset(A, b), Regularization(xi2=1e-3))
+    compared = 0
+    for _ in range(20):
+        x = gen.standard_normal(N)
+        if kind == "poisson":
+            x = np.abs(x) + 0.1
+        x *= margin / np.abs(A @ x).max()
+        d = gen.standard_normal(N)
+        d *= 2.0 * margin / np.abs(A @ d).max()
+        ray = Ray(model, x, d)
+        f0 = model.evaluate(x)
+        for t in (1e-9, 1e-4, 0.1, 0.5, 1.0):
+            if kind == "poisson" and (A @ (x + t * d)).min() < 1e-6 * margin:
+                continue  # outside or at the wall, where log z has no stable digits
+            f1 = model.evaluate(x + t * d)
+            delta = ray.delta(t)
+            assert np.isfinite(delta)
+            assert delta == pytest.approx(f1 - f0, rel=1e-9, abs=1e-12 * max(1.0, abs(f0), abs(f1)))
+            compared += 1
+    assert compared >= 40

@@ -172,6 +172,18 @@ class TestArmijo:
             assert model.evaluate(x + t * d) <= model.evaluate(x) + 0.25 * t * float(g @ d) + 1e-12
 
 
+    def test_saturated_logistic_ascent_rejected(self):
+        # the first row's sigmoid rounds to 1 at x = 40; the unit step takes f
+        # from 20 to 150
+        model = make_objective("logistic", Dataset(np.array([[1.0], [1.0]]), np.array([-1.0, 1.0])))
+        x, d = np.array([40.0]), np.array([-340.0])
+        assert model.evaluate(x + d) > model.evaluate(x)
+        g = model.gradient(x)
+        t, _ = armijo_search(model, x, d, float(g @ d), 1.0, 0.25, 0.5)
+        assert t < 1.0
+        assert model.evaluate(x + t * d) <= model.evaluate(x)
+
+
 class TestPoissonFeasibleStep:
     def setup_method(self):
         self.model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
@@ -383,3 +395,25 @@ def test_timeout_status(gen):
     cfg = SigmaConfig(n=2, epsilon=1e-16, max_iter=10**6, max_seconds=0.05, seed=1)
     res = sigma_solve(model, np.zeros(20), cfg)
     assert res.status in ("timeout", "converged")
+
+
+@pytest.mark.parametrize("kind", ["logistic", "poisson"])
+def test_one_pass_over_data_each_way_per_iterate(kind, gen, monkeypatch):
+    # every iterate is evaluated once: one A x (predict) and one A^T w
+    # (gradient); the Poisson start adds one domain check
+    from sigma_opt import ObjectiveModel
+
+    if kind == "logistic":
+        model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
+    else:
+        model, x0 = positive_poisson_instance(m=80, N=20)
+    calls = []
+    for name in ("predict", "gradient"):
+        def counted(self, *args, _orig=getattr(ObjectiveModel, name), **kwargs):
+            calls.append(_orig)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectiveModel, name, counted)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-14, max_iter=25, seed=2))
+    assert res.iterations >= 10
+    assert len(calls) <= 2 * (res.iterations + 1) + 1
