@@ -1,4 +1,5 @@
-"""Comparison optimizers sharing the solver's trace format.
+"""Comparison optimizers, each a direction function run by the solver's loop
+(:func:`sigma_opt.solver.drive`), so they share its trace format.
 
 Five methods: gradient descent and full Newton with backtracking, stochastic
 gradient descent with the ``t/(1 + gamma k)`` schedule, sub-sampled Newton
@@ -9,28 +10,27 @@ Newton-family methods stop on the squared decrement of their direction; GD and
 SGD stop on the squared gradient norm so the tolerances are comparable.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .coarse import newton_direction
-from .core import DECREMENT_SQ_LIMIT, sample_without_replacement, spd_solve
+from .core import sample_without_replacement, spd_solve
 from .errors import InvalidDimensions, NotPositiveDefinite, OutOfDomain
-from .objectives import ObjectiveModel, Ray
+from .objectives import ObjectiveModel
 from .rng import RngState
-from .solver import (
-    CONVERGED,
-    ERROR,
+from .solver import (  # noqa: F401  perfbench/tracer.py looks up armijo_search here
+    DAMPED,
     FINE,
-    MAX_ITER,
-    TIMEOUT,
+    SCHEDULED,
+    UNIT,
+    Direction,
+    SolveConfig,
     SolveResult,
-    TraceRecord,
-    _initial_step,
     armijo_search,
-    stopping_check,
+    drive,
 )
 
 GD = "gd"
@@ -42,22 +42,18 @@ METHODS = (GD, SGD, NEWTON, SUBNEWTON, NEWSAMP)
 
 
 @dataclass
-class BaselineConfig:
+class BaselineConfig(SolveConfig):
+    """Baseline parameters on top of the shared :class:`SolveConfig`."""
+
     method: str
     sgd_t: float = 1.0
     sgd_gamma: float = 1e-6
     batch: int = 1
     rows: Optional[int] = None  # row-sample size for subnewton/newsamp; default m/2
     rank: Optional[int] = None  # newsamp truncation rank; default N/10
-    alpha: float = 0.25
-    beta: float = 0.5
-    epsilon: float = 1e-8
-    zeta: float = 2.0
-    max_iter: int = 200
-    max_seconds: float = 60.0
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.sgd_t <= 0:
@@ -70,14 +66,6 @@ class BaselineConfig:
             raise ValueError("rows must be >= 1")
         if self.rank is not None and self.rank < 0:
             raise ValueError("rank must be >= 0")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {self.beta}")
-        if not 0.0 < self.epsilon < DECREMENT_SQ_LIMIT:
-            raise ValueError(f"epsilon must be in (0, 0.68^2), got {self.epsilon}")
-        if self.max_iter < 0 or self.max_seconds <= 0:
-            raise ValueError("max_iter must be >= 0 and max_seconds > 0")
 
 
 def newsamp_hessian(
@@ -111,126 +99,48 @@ def newsamp_hessian(
     return 0.5 * (out + out.T)
 
 
-def _sgd_feasible(model, x, d, t):
-    # no line search in SGD: halve a fixed-schedule step until back inside the domain
-    for _ in range(200):
-        if model.domain_status(x + t * d).feasible:
-            return t
-        t *= 0.5
-    return t
-
-
 def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -> SolveResult:
-    """Run one baseline optimizer; trace schema matches the multilevel solver."""
-    x = np.array(x0, dtype=np.float64, copy=True)
-    m = model.dataset.m
-    if not model.domain_status(x).feasible:
-        raise OutOfDomain("x0 is infeasible for the Poisson domain")
+    """Run one baseline optimizer through the solver's loop; same trace schema."""
+    m, N = model.dataset.m, model.dataset.N
     rows_size = cfg.rows if cfg.rows is not None else max(1, m // 2)
     if rows_size > m:
         raise InvalidDimensions(f"rows={rows_size} exceeds m={m}")
-    rank = cfg.rank if cfg.rank is not None else max(1, model.dataset.N // 10)
+    rank = cfg.rank if cfg.rank is not None else max(1, N // 10)
     rng = RngState(cfg.seed)
 
-    result = SolveResult(x_final=x, trace=[])
-    started = time.monotonic()
-    k = 0
-    while True:
-        elapsed = time.monotonic() - started
-        point = model.point(x)
+    def sample(size):
+        return sample_without_replacement(m, size, rng) if size < m else np.arange(m, dtype=np.int64)
+
+    def direction(x, point, k):
         g = point.g
-        gn = float(np.linalg.norm(g))
-
-        try:
+        g_used, rule, t0 = g, DAMPED, 1.0
+        if cfg.method == NEWTON:
+            d, lam = newton_direction(model, x, point=point)
+            dec_sq = lam * lam
+        elif cfg.method in (SUBNEWTON, NEWSAMP):
+            rows = sample(rows_size)
+            if cfg.method == SUBNEWTON:
+                h = model.reduced_hessian(x, np.arange(N, dtype=np.int64), rows, w2=point.w2)
+            else:
+                h = newsamp_hessian(model, x, rows, rank, w2=point.w2)
+            d = spd_solve(h, -g)
+            dec_sq = max(-float(g @ d), 0.0)
+        else:  # GD from the unit step, SGD with its scheduled step
             if cfg.method == GD:
-                d, g_used = -g, g
-                dec_sq = gn * gn
-            elif cfg.method == SGD:
-                batch = (
-                    sample_without_replacement(m, min(cfg.batch, m), rng)
-                    if cfg.batch < m
-                    else np.arange(m, dtype=np.int64)
-                )
-                gb = _batch_gradient(model, x, batch)
-                d, g_used = -gb, gb
-                dec_sq = gn * gn
-                t0 = cfg.sgd_t / (1.0 + cfg.sgd_gamma * k)
-            elif cfg.method == NEWTON:
-                d, lam = newton_direction(model, x, point=point)
-                g_used = g
-                dec_sq = lam * lam
-            else:  # subnewton / newsamp
-                rows = (
-                    sample_without_replacement(m, rows_size, rng)
-                    if rows_size < m
-                    else np.arange(m, dtype=np.int64)
-                )
-                if cfg.method == SUBNEWTON:
-                    h = model.reduced_hessian(x, np.arange(model.dataset.N, dtype=np.int64), rows,
-                                              w2=point.w2)
-                else:
-                    h = newsamp_hessian(model, x, rows, rank, w2=point.w2)
-                d = spd_solve(h, -g)
-                g_used = g
-                dec_sq = max(-float(g @ d), 0.0)
-        except NotPositiveDefinite as exc:
-            result.trace.append(TraceRecord(k, elapsed, point.f, gn, np.nan, None, 0.0, FINE, 0))
-            result.x_final = x
-            result.status = ERROR
-            result.message = str(exc)
-            return result
+                rule = UNIT
+            else:
+                g_used = _batch_gradient(model, x, sample(min(cfg.batch, m)))
+                rule, t0 = SCHEDULED, cfg.sgd_t / (1.0 + cfg.sgd_gamma * k)
+            d = -g_used
+            gn = float(np.linalg.norm(g))
+            dec_sq = gn * gn
+        lambda_hat = float(np.sqrt(max(-float(g_used @ d), 0.0)))
+        return Direction(d, dec_sq, lambda_hat, None, FINE, rule, t0)
 
-        decrement = float(np.sqrt(dec_sq))
-        record = TraceRecord(
-            iter=k,
-            elapsed_s=elapsed,
-            f=point.f,
-            grad_norm=gn,
-            lambda_hat=float(np.sqrt(max(-float(g_used @ d), 0.0))),
-            lam=None,
-            step=0.0,
-            direction=FINE,
-            backtracks=0,
-        )
-
-        if stopping_check(dec_sq, cfg.epsilon):
-            result.trace.append(record)
-            result.status = CONVERGED
-            break
-        if k >= cfg.max_iter:
-            result.trace.append(record)
-            result.status = MAX_ITER
-            break
-        if elapsed > cfg.max_seconds:
-            result.trace.append(record)
-            result.status = TIMEOUT
-            break
-
-        if cfg.method == SGD:
-            t = _sgd_feasible(model, x, d, t0)
-            backtracks = 0
-        else:
-            # GD starts at the unit step; the Newton-family methods use the
-            # damped step (feasibility-grown on the Poisson domain).
-            ray = Ray(model, x, d, z=point.z)
-            start = 1.0 if cfg.method == GD else _initial_step(ray, decrement, cfg.zeta)
-            t, backtracks = armijo_search(
-                model, x, d, float(g_used @ d), start, cfg.alpha, cfg.beta, ray=ray
-            )
-        record.step = t
-        record.backtracks = backtracks
-        result.trace.append(record)
-        x = x + t * d
-        k += 1
-
-    result.x_final = x
-    result.final_decrement_sq = dec_sq
-    return result
+    return drive(model, x0, cfg, direction, error_label=FINE)
 
 
 def _batch_gradient(model: ObjectiveModel, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    from . import kernels
-
     A = model.dataset.A[batch]
     z = A @ x
     if model.kind == "poisson" and float(z.min()) <= 0:

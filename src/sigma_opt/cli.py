@@ -12,29 +12,52 @@ overrides; every effective parameter is echoed into summary.json so a run can
 be reproduced exactly. Exit codes: 0 converged, 2 budget exhausted
 (max-iter/timeout), 1 error.
 
-``SIGMA_OPT_THREADS`` caps row-parallelism: numba's thread pool and the pools
-of numpy's and scipy's OpenBLAS. The cap applies at runtime, after those
-libraries have loaded, and each pool ends at ``min(current, cap)``, so a lower
-``OPENBLAS_NUM_THREADS`` set before start is kept. 0 or unset leaves the
-automatic setting; any other value that is not a nonnegative integer is
-logged as a warning and ignored.
+``SIGMA_OPT_THREADS`` caps the BLAS threads: the pools of numpy's and scipy's
+OpenBLAS. The cap applies at runtime, after those libraries have loaded, and
+each pool ends at ``min(current, cap)``, so a lower ``OPENBLAS_NUM_THREADS``
+set before start is kept. 0 or unset leaves the automatic setting; any other
+value that is not a nonnegative integer is logged as a warning and ignored.
 """
 
 import json
 import logging
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import click
+import numpy as np
 import yaml
+
+from . import baselines, kernels, solver
+from . import data as data_mod
+from .baselines import METHODS, BaselineConfig
+from .errors import NoFeasibleStart
+from .objectives import (
+    GAUSSIAN,
+    KINDS,
+    POISSON,
+    Dataset,
+    Regularization,
+    feasible_start,
+    make_objective,
+    positive_margin_start,
+)
+from .rng import RngState
+from .solver import CHECK_MODES, SigmaConfig
 
 _log = logging.getLogger(__name__)
 
 TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,backtracks"
 
+SOLVERS = ("sigma",) + METHODS
+
+# Every solve option and YAML key with its default. Solver and
+# regularization defaults come from their dataclasses; SigmaConfig's
+# row_sample is fed by the shared "rows" key.
 _SOLVE_DEFAULTS = {
-    "model": "gaussian",
+    "model": GAUSSIAN,
     "data": None,
     "label_column": "last",
     "n_features": None,
@@ -47,25 +70,11 @@ _SOLVE_DEFAULTS = {
     "noise": 0.0,
     "solver": "sigma",
     "n": None,
-    "mu": 0.5,
-    "nu": 1e-4,
-    "epsilon": 1e-8,
-    "alpha": 0.25,
-    "beta": 0.5,
-    "zeta": 2.0,
-    "check_mode": "always_coarse",
-    "freeze_operator": False,
-    "rows": None,
-    "rank": None,
-    "batch": 1,
-    "sgd_t": 1.0,
-    "sgd_gamma": 1e-6,
-    "xi1": 0.0,
-    "xi2": 0.0,
-    "huber_c": 1e-2,
-    "max_iter": 200,
-    "max_seconds": 60.0,
-    "seed": 0,
+    **{f.name: f.default for cls in (SigmaConfig, BaselineConfig) for f in fields(cls)
+       if f.default is not MISSING and f.name != "row_sample"},
+    "xi1": Regularization.xi1,
+    "xi2": Regularization.xi2,
+    "huber_c": Regularization.c,
     "out": "out",
 }
 
@@ -96,8 +105,6 @@ def _apply_thread_cap() -> None:
     if cap < 0:
         _log.warning("SIGMA_OPT_THREADS=%r is not a nonnegative integer; no thread cap applied", raw)
         return
-    from . import kernels
-
     kernels.set_num_threads(cap)  # 0 = auto
 
 
@@ -112,8 +119,6 @@ def _merge_config(ctx, defaults: dict, config_path) -> dict:
             raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     for name, value in ctx.params.items():
-        if name in ("config",):
-            continue
         src = ctx.get_parameter_source(name)
         if src is not None and src.name == "COMMANDLINE" and name in merged:
             merged[name] = value
@@ -122,15 +127,11 @@ def _merge_config(ctx, defaults: dict, config_path) -> dict:
 
 def _build_dataset(p: dict):
     """Returns (Dataset, x_true or None, data_meta dict)."""
-    from . import data as data_mod
-    from .objectives import Dataset
-    from .rng import RngState
-
     src = p["data"]
     if src is None:
         raise click.ClickException("--data is required (a file path or 'synthetic')")
     if src == "synthetic":
-        label_kind = p["labels"] or {"gaussian": "gaussian", "poisson": "poisson", "logistic": "logistic"}[p["model"]]
+        label_kind = p["labels"] or p["model"]
         spec = data_mod.SvdGapSpec(m=p["m"], N=p["N"], p=p["p"], gap=p["gap"], seed=p["seed"])
         lspec = data_mod.LabelSpec(kind=label_kind, sigma_noise=p["noise"], seed=p["seed"] + 1)
         A = data_mod.svd_gap_matrix(spec, RngState(spec.seed))
@@ -154,16 +155,11 @@ def _build_dataset(p: dict):
 
 
 def _build_model(p: dict, ds):
-    from .objectives import Regularization, make_objective
-
     reg = Regularization(xi2=p["xi2"], xi1=p["xi1"], c=p["huber_c"])
     return make_objective(p["model"], ds, reg)
 
 
 def _resolve_x0(model, x_true):
-    from .errors import NoFeasibleStart
-    from .objectives import feasible_start, positive_margin_start
-
     try:
         return feasible_start(model)
     except NoFeasibleStart:
@@ -174,32 +170,20 @@ def _resolve_x0(model, x_true):
 
 def _run_one(p: dict, model, x0, name: str, seed: int):
     """Dispatch to the multilevel solver or a baseline; returns SolveResult."""
-    from .baselines import BaselineConfig, baseline_solve
-    from .solver import SigmaConfig, sigma_solve
-
     if name == "sigma":
         n = p["n"] if p["n"] is not None else max(1, model.dataset.N // 2)
-        cfg = SigmaConfig(
-            n=n, mu=p["mu"], nu=p["nu"], epsilon=p["epsilon"], alpha=p["alpha"],
-            beta=p["beta"], zeta=p["zeta"], check_mode=p["check_mode"],
-            row_sample=p["rows"], max_iter=p["max_iter"], max_seconds=p["max_seconds"],
-            seed=seed, freeze_operator=p["freeze_operator"],
-        )
-        return sigma_solve(model, x0, cfg), cfg
-    cfg = BaselineConfig(
-        method=name, sgd_t=p["sgd_t"], sgd_gamma=p["sgd_gamma"], batch=p["batch"],
-        rows=p["rows"], rank=p["rank"], alpha=p["alpha"], beta=p["beta"],
-        epsilon=p["epsilon"], zeta=p["zeta"], max_iter=p["max_iter"],
-        max_seconds=p["max_seconds"], seed=seed,
-    )
-    return baseline_solve(model, x0, cfg), cfg
+        cfg = _config(SigmaConfig, p, n=n, row_sample=p["rows"], seed=seed)
+        return solver.sigma_solve(model, x0, cfg), cfg
+    cfg = _config(BaselineConfig, p, method=name, seed=seed)
+    return baselines.baseline_solve(model, x0, cfg), cfg
+
+
+def _config(cls, p: dict, **fixed):
+    """``cls`` from the effective parameters that are its fields, with ``fixed`` on top."""
+    return cls(**{**{f.name: p[f.name] for f in fields(cls) if f.name in p}, **fixed})
 
 
 def _summary_dict(result, model, effective: dict, cfg) -> dict:
-    import dataclasses
-
-    import numpy as np
-
     last = result.trace[-1] if result.trace else None
     out = {
         "status": result.status,
@@ -212,9 +196,9 @@ def _summary_dict(result, model, effective: dict, cfg) -> dict:
         ),
         "elapsed_s": None if last is None else last.elapsed_s,
         "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in effective.items()},
-        "solver_config": dataclasses.asdict(cfg),
+        "solver_config": asdict(cfg),
     }
-    if model.kind == "poisson" and last is not None:
+    if model.kind == POISSON and last is not None:
         out["final_grad_norm_unscaled"] = last.grad_norm / model.scale
         out["poisson_scale"] = model.scale
     return out
@@ -224,46 +208,44 @@ _STATUS_EXIT = {"converged": 0, "max_iter": 2, "timeout": 2, "error": 1}
 
 
 def _add_solve_options(fn):
+    # no click defaults: an option only counts when given (see _merge_config)
     opts = [
-        click.option("--config", type=click.Path(exists=True), default=None,
+        click.option("--config", type=click.Path(exists=True),
                      help="YAML config; flags override it."),
-        click.option("--model", type=click.Choice(["gaussian", "poisson", "logistic"]),
-                     default=_SOLVE_DEFAULTS["model"]),
-        click.option("--data", default=None, help="'synthetic' or a libsvm/csv path."),
-        click.option("--label-column", "label_column", default="last"),
-        click.option("--n-features", "n_features", type=int, default=None),
-        click.option("--standardize", is_flag=True, default=False),
-        click.option("--m", type=int, default=_SOLVE_DEFAULTS["m"]),
-        click.option("--N", "N", type=int, default=_SOLVE_DEFAULTS["N"]),
-        click.option("--p", type=int, default=_SOLVE_DEFAULTS["p"]),
-        click.option("--gap", type=float, default=_SOLVE_DEFAULTS["gap"]),
-        click.option("--labels", type=click.Choice(["gaussian", "poisson", "logistic"]),
-                     default=None, help="Synthetic label kind (defaults to the model kind)."),
-        click.option("--noise", type=float, default=0.0),
-        click.option("--n", type=int, default=None, help="Coarse dimension (default N/2)."),
-        click.option("--mu", type=float, default=_SOLVE_DEFAULTS["mu"]),
-        click.option("--nu", type=float, default=_SOLVE_DEFAULTS["nu"]),
-        click.option("--epsilon", type=float, default=_SOLVE_DEFAULTS["epsilon"]),
-        click.option("--alpha", type=float, default=_SOLVE_DEFAULTS["alpha"]),
-        click.option("--beta", type=float, default=_SOLVE_DEFAULTS["beta"]),
-        click.option("--zeta", type=float, default=_SOLVE_DEFAULTS["zeta"]),
-        click.option("--check-mode", "check_mode",
-                     type=click.Choice(["full_decrement", "euclidean_proxy", "nu_only", "always_coarse"]),
-                     default=_SOLVE_DEFAULTS["check_mode"]),
-        click.option("--freeze-operator", "freeze_operator", is_flag=True, default=False),
-        click.option("--rows", type=int, default=None,
+        click.option("--model", type=click.Choice(KINDS)),
+        click.option("--data", help="'synthetic' or a libsvm/csv path."),
+        click.option("--label-column", "label_column"),
+        click.option("--n-features", "n_features", type=int),
+        click.option("--standardize", is_flag=True),
+        click.option("--m", type=int),
+        click.option("--N", "N", type=int),
+        click.option("--p", type=int),
+        click.option("--gap", type=float),
+        click.option("--labels", type=click.Choice(KINDS),
+                     help="Synthetic label kind (defaults to the model kind)."),
+        click.option("--noise", type=float),
+        click.option("--n", type=int, help="Coarse dimension (default N/2)."),
+        click.option("--mu", type=float),
+        click.option("--nu", type=float),
+        click.option("--epsilon", type=float),
+        click.option("--alpha", type=float),
+        click.option("--beta", type=float),
+        click.option("--zeta", type=float),
+        click.option("--check-mode", "check_mode", type=click.Choice(CHECK_MODES)),
+        click.option("--freeze-operator", "freeze_operator", is_flag=True),
+        click.option("--rows", type=int,
                      help="Row-sample size (sub-sampled solver / subnewton / newsamp)."),
-        click.option("--rank", type=int, default=None, help="NewSamp truncation rank."),
-        click.option("--batch", type=int, default=1),
-        click.option("--sgd-t", "sgd_t", type=float, default=1.0),
-        click.option("--sgd-gamma", "sgd_gamma", type=float, default=1e-6),
-        click.option("--xi1", type=float, default=0.0),
-        click.option("--xi2", type=float, default=0.0),
-        click.option("--huber-c", "huber_c", type=float, default=1e-2),
-        click.option("--max-iter", "max_iter", type=int, default=_SOLVE_DEFAULTS["max_iter"]),
-        click.option("--max-seconds", "max_seconds", type=float, default=_SOLVE_DEFAULTS["max_seconds"]),
-        click.option("--seed", type=int, default=0),
-        click.option("--out", type=click.Path(), default="out"),
+        click.option("--rank", type=int, help="NewSamp truncation rank."),
+        click.option("--batch", type=int),
+        click.option("--sgd-t", "sgd_t", type=float),
+        click.option("--sgd-gamma", "sgd_gamma", type=float),
+        click.option("--xi1", type=float),
+        click.option("--xi2", type=float),
+        click.option("--huber-c", "huber_c", type=float),
+        click.option("--max-iter", "max_iter", type=int),
+        click.option("--max-seconds", "max_seconds", type=float),
+        click.option("--seed", type=int),
+        click.option("--out", type=click.Path()),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -277,12 +259,11 @@ def cli():
 
 @cli.command()
 @_add_solve_options
-@click.option("--solver", type=click.Choice(["sigma", "gd", "sgd", "newton", "subnewton", "newsamp"]),
-              default="sigma")
+@click.option("--solver", type=click.Choice(SOLVERS))
 @click.pass_context
 def solve(ctx, config, **_kwargs):
     """Run one solver on one dataset; writes trace.csv and summary.json."""
-    p = _merge_config(ctx, {**_SOLVE_DEFAULTS, "solver": "sigma"}, config)
+    p = _merge_config(ctx, _SOLVE_DEFAULTS, config)
     try:
         ds, x_true, data_meta = _build_dataset(p)
         model = _build_model(p, ds)
@@ -392,16 +373,12 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
 @click.option("--N", "N", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--gap", type=float, default=100.0)
-@click.option("--labels", type=click.Choice(["gaussian", "poisson", "logistic"]), required=True)
+@click.option("--labels", type=click.Choice(KINDS), required=True)
 @click.option("--noise", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default="dataset")
 def datagen(m, N, p, gap, labels, noise, seed, out, **_kwargs):
     """Generate a synthetic dataset; writes <out>/data.libsvm and meta.json."""
-    from . import data as data_mod
-    from .objectives import Dataset
-    from .rng import RngState
-
     try:
         spec = data_mod.SvdGapSpec(m=m, N=N, p=p, gap=gap, seed=seed)
         lspec = data_mod.LabelSpec(kind=labels, sigma_noise=noise, seed=seed + 1)

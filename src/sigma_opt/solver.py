@@ -1,17 +1,19 @@
-"""The multilevel randomized Newton solver.
+"""The multilevel randomized Newton solver and the solve loop it shares with
+the baselines.
 
-Each iteration draws a fresh coordinate operator, solves the reduced system
-for the coarse direction, optionally falls back to the full Newton (fine)
-direction per the configured check mode, and globalizes with an Armijo
-backtracking search from the unit step. Self-concordance guarantees the
-damped step ``1/(1 + decrement)`` always passes the descent test, so the
-search never returns less than ``beta`` times that value. For the Poisson
-model the search instead starts from the damped step grown while the trial
-point stays inside the open domain.
+Each SIGMA iteration draws a fresh coordinate operator, solves the reduced
+system for the coarse direction, and optionally falls back to the full Newton
+(fine) direction per the configured check mode.
 
-Each iterate is evaluated once (:meth:`ObjectiveModel.point`): one ``A x``
-and one ``A^T w`` per iteration, with the coarse step's ``A d`` formed from
-the gathered columns ``A[:, S]``.
+One driver, :func:`drive`, runs the iterations of SIGMA and of every baseline;
+a solver only supplies a direction function. The driver evaluates each iterate
+once (:meth:`ObjectiveModel.point`: one ``A x`` and one ``A^T w``), records
+the trace row, applies the stop tests, picks the step length and updates. The
+Newton-type steps are globalized by an Armijo backtracking search from the
+unit step. Self-concordance guarantees the damped step ``1/(1 + decrement)``
+always passes the descent test, so the search never returns less than
+``beta`` times that value. For the Poisson model the search instead starts
+from the damped step grown while the trial point stays inside the open domain.
 
 The run stops when the squared decrement of the computed direction falls to
 ``epsilon`` (inclusive), which bounds the sub-optimality gap by ``epsilon``
@@ -20,12 +22,11 @@ for tolerances below ``0.68^2``.
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .coarse import (
-    CoarseOperator,
     build_operator,
     coarse_direction,
     galerkin_system,
@@ -39,7 +40,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
 )
-from .objectives import POISSON, ObjectiveModel, Ray
+from .objectives import POISSON, ObjectiveModel, Point, Ray
 from .rng import RngState
 
 COARSE = "coarse"
@@ -58,9 +59,42 @@ TIMEOUT = "timeout"
 ERROR = "error"
 
 
+# how the driver picks the step length along a direction
+DAMPED = "damped"  # Armijo from 1, or from the feasibility-grown damped step on Poisson
+UNIT = "unit"  # Armijo from 1
+SCHEDULED = "scheduled"  # the direction's own t0, halved until feasible; no search
+
+
+@dataclass(kw_only=True)
+class SolveConfig:
+    """Parameters of the shared solve loop; ranges are validated at construction."""
+
+    alpha: float = 0.25
+    beta: float = 0.5
+    epsilon: float = 1e-8
+    zeta: float = 2.0  # Poisson feasible-step growth factor
+    max_iter: int = 200
+    max_seconds: float = 60.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < DECREMENT_SQ_LIMIT:
+            raise ValueError(f"epsilon must be in (0, 0.68^2), got {self.epsilon}")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must be in (0,1), got {self.beta}")
+        if not self.zeta > 1.0:
+            raise ValueError(f"zeta must be > 1, got {self.zeta}")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
+        if self.max_seconds <= 0:
+            raise ValueError("max_seconds must be positive")
+
+
 @dataclass
-class SigmaConfig:
-    """Solver parameters; ranges are validated at construction.
+class SigmaConfig(SolveConfig):
+    """SIGMA parameters on top of the shared :class:`SolveConfig`.
 
     ``check_mode`` selects how coarse vs fine directions are chosen:
 
@@ -76,40 +110,22 @@ class SigmaConfig:
     n: int
     mu: float = 0.5
     nu: float = 1e-4
-    epsilon: float = 1e-8
-    alpha: float = 0.25
-    beta: float = 0.5
-    zeta: float = 2.0  # Poisson feasible-step growth factor
     check_mode: str = ALWAYS_COARSE
     row_sample: Optional[int] = None
-    max_iter: int = 200
-    max_seconds: float = 60.0
-    seed: int = 0
     freeze_operator: bool = False  # ablation: one operator for the whole run
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n < 1:
             raise ValueError(f"coarse dimension n must be >= 1, got {self.n}")
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be in (0,1), got {self.mu}")
         if not 0.0 < self.nu < DECREMENT_SQ_LIMIT:
             raise ValueError(f"nu must be in (0, 0.68^2), got {self.nu}")
-        if not 0.0 < self.epsilon < DECREMENT_SQ_LIMIT:
-            raise ValueError(f"epsilon must be in (0, 0.68^2), got {self.epsilon}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0,1), got {self.beta}")
-        if not self.zeta > 1.0:
-            raise ValueError(f"zeta must be > 1, got {self.zeta}")
         if self.check_mode not in CHECK_MODES:
             raise ValueError(f"check_mode must be one of {CHECK_MODES}, got {self.check_mode!r}")
         if self.row_sample is not None and self.row_sample < 1:
             raise ValueError(f"row_sample must be >= 1, got {self.row_sample}")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
 
 
 @dataclass
@@ -138,6 +154,19 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return max(len(self.trace) - 1, 0)
+
+
+class Direction(NamedTuple):
+    """A direction function's answer for one iterate."""
+
+    d: np.ndarray
+    dec_sq: float  # the run stops once this is <= epsilon
+    lambda_hat: float  # trace columns
+    lam: Optional[float]
+    label: str
+    rule: str = DAMPED  # how the step length is picked: DAMPED, UNIT or SCHEDULED
+    t0: float = 1.0  # the SCHEDULED step
+    dz: Optional[np.ndarray] = None  # A d, when the direction already has it
 
 
 def damped_initial_step(lam_hat: float) -> float:
@@ -235,7 +264,11 @@ def poisson_feasible_step(
     value comes from a curvature bound, not from feasibility). The returned
     ``t`` is feasible and zeta-maximal: either ``t == 1`` or ``zeta * t`` leaves
     the domain. ``ray`` is ``Ray(model, x, d)`` when the caller already has it.
+    Raises :class:`DomainError` unless ``zeta > 1``, without which the growth
+    loop would never end.
     """
+    if not zeta > 1.0:
+        raise DomainError(f"zeta must be > 1, got {zeta}")
     feasible = (ray if ray is not None else Ray(model, x, d)).feasible
     t = damped_initial_step(lam_hat)
     for _ in range(200):
@@ -260,107 +293,119 @@ def _initial_step(ray: Ray, decrement: float, zeta: float) -> float:
     return 1.0
 
 
-def _coarse_step(model: ObjectiveModel, x, point, op: CoarseOperator, rows):
-    """The coarse step at ``x``, its reduced gradient, and ``A d`` from the
-    gathered columns in O(m n). The gathered block and the reduced curvature
-    are dropped on return, before the next iterate gathers its own."""
-    system = galerkin_system(model, x, op, rows, point=point)
-    step = coarse_direction(system, op)
-    return step, system.g, system.block @ step.d_coarse
+def _scheduled_step(model: ObjectiveModel, x: np.ndarray, d: np.ndarray, t: float) -> float:
+    # no line search: halve a fixed-schedule step until back inside the domain
+    for _ in range(200):
+        if model.domain_status(x + t * d).feasible:
+            return t
+        t *= 0.5
+    return t
 
 
-def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> SolveResult:
-    """Run the multilevel solver from ``x0``.
+def _step_length(model: ObjectiveModel, x, point, step: Direction, cfg: SolveConfig):
+    """``(t, backtracks)`` along ``step.d`` by the direction's rule."""
+    if step.rule == SCHEDULED:
+        return _scheduled_step(model, x, step.d, step.t0), 0
+    ray = Ray(model, x, step.d, z=point.z, dz=step.dz)
+    # sqrt(v * v) == v exactly in binary floating point unless v * v
+    # underflows, so a direction that squared its decrement gets it back
+    t0 = 1.0 if step.rule == UNIT else _initial_step(ray, float(np.sqrt(step.dec_sq)), cfg.zeta)
+    return armijo_search(model, x, step.d, float(point.g @ step.d), t0, cfg.alpha, cfg.beta,
+                         ray=ray)
 
-    The trace has one row per iterate including the starting point; row ``k``
-    holds the objective, gradient norm and decrement at iterate ``k`` together
-    with the step length taken from it (0 on the terminal row). Identical
-    configs (including the seed) produce bit-identical traces except for the
-    wall-clock column.
 
-    Raises :class:`OutOfDomain` if ``x0`` is infeasible; reduced-system
-    factorization failures end the run with ``status == "error"``.
+def drive(
+    model: ObjectiveModel,
+    x0: np.ndarray,
+    cfg: SolveConfig,
+    direction: Callable[[np.ndarray, Point, int], Direction],
+    error_label: str,
+) -> SolveResult:
+    """The solve loop of SIGMA and of every baseline.
+
+    ``direction(x, point, k)`` returns the :class:`Direction` at iterate ``k``,
+    where ``point`` is ``model.point(x)``. If it raises
+    :class:`NotPositiveDefinite` the run ends with ``status == "error"`` and a
+    last trace row labelled ``error_label``. The trace has one row per iterate
+    including the starting point; row ``k`` holds the objective, gradient norm
+    and decrement at iterate ``k`` together with the step length taken from it
+    (0 on the terminal row).
+
+    Raises :class:`OutOfDomain` if ``x0`` is infeasible.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
-    N = model.dataset.N
-    m = model.dataset.m
     if not model.domain_status(x).feasible:
         raise OutOfDomain("x0 is infeasible for the Poisson domain")
-    rng = RngState(cfg.seed)
-    frozen = build_operator(N, cfg.n, rng) if cfg.freeze_operator else None
-    sample_rows = cfg.row_sample is not None and cfg.row_sample < m
-
     result = SolveResult(x_final=x, trace=[])
     started = time.monotonic()
     k = 0
     while True:
         elapsed = time.monotonic() - started
         point = model.point(x)
+        grad_norm = float(np.linalg.norm(point.g))
         try:
-            op = frozen if frozen is not None else build_operator(N, cfg.n, rng)
-            rows = sample_without_replacement(m, cfg.row_sample, rng) if sample_rows else None
-            step, g_reduced, dz = _coarse_step(model, x, point, op, rows)
-
-            lam: Optional[float] = None
-            d_fine: Optional[np.ndarray] = None
-            if cfg.check_mode == FULL_DECREMENT:
-                d_fine, lam = newton_direction(model, x, point=point)
-            chosen = direction_select(step.lambda_hat, lam, point.g, g_reduced, cfg)
-            if chosen == FINE and d_fine is None:
-                d_fine, lam = newton_direction(model, x, point=point)
+            step = direction(x, point, k)
         except NotPositiveDefinite as exc:
             result.trace.append(
-                TraceRecord(k, elapsed, point.f, float(np.linalg.norm(point.g)), np.nan, None, 0.0,
-                            COARSE, 0)
-            )
-            result.x_final = x
-            result.status = ERROR
-            result.message = str(exc)
+                TraceRecord(k, elapsed, point.f, grad_norm, np.nan, None, 0.0, error_label, 0))
+            result.x_final, result.status, result.message = x, ERROR, str(exc)
             return result
-
-        if chosen == COARSE:
-            d, decrement = step.d_hat, step.lambda_hat
-        else:
-            d, decrement, dz = d_fine, lam, model.predict(d_fine)
-        dec_sq = decrement * decrement
-
-        record = TraceRecord(
-            iter=k,
-            elapsed_s=elapsed,
-            f=point.f,
-            grad_norm=float(np.linalg.norm(point.g)),
-            lambda_hat=step.lambda_hat,
-            lam=lam,
-            step=0.0,
-            direction=chosen,
-            backtracks=0,
-        )
-
-        if stopping_check(dec_sq, cfg.epsilon):
-            result.trace.append(record)
+        record = TraceRecord(k, elapsed, point.f, grad_norm, step.lambda_hat, step.lam, 0.0,
+                             step.label, 0)
+        result.trace.append(record)
+        if stopping_check(step.dec_sq, cfg.epsilon):
             result.status = CONVERGED
             break
         if k >= cfg.max_iter:
-            result.trace.append(record)
             result.status = MAX_ITER
             break
         if elapsed > cfg.max_seconds:
-            result.trace.append(record)
             result.status = TIMEOUT
             break
-
-        ray = Ray(model, x, d, z=point.z, dz=dz)
-        t0 = _initial_step(ray, decrement, cfg.zeta)
-        t, backtracks = armijo_search(model, x, d, float(point.g @ d), t0, cfg.alpha, cfg.beta,
-                                      ray=ray)
-        record.step = t
-        record.backtracks = backtracks
-        result.trace.append(record)
-        x = x + t * d
+        record.step, record.backtracks = _step_length(model, x, point, step, cfg)
+        x = x + record.step * step.d
         k += 1
         # this iterate's arrays go before the next one is evaluated
-        del point, step, d, d_fine, dz, ray
+        del point, step
 
     result.x_final = x
-    result.final_decrement_sq = dec_sq
+    result.final_decrement_sq = step.dec_sq
     return result
+
+
+def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> SolveResult:
+    """Run the multilevel solver from ``x0`` through :func:`drive`.
+
+    Identical configs (including the seed) produce bit-identical traces except
+    for the wall-clock column. Raises :class:`OutOfDomain` if ``x0`` is
+    infeasible; reduced-system factorization failures end the run with
+    ``status == "error"``.
+    """
+    N, m = model.dataset.N, model.dataset.m
+    rng = RngState(cfg.seed)
+    frozen = build_operator(N, cfg.n, rng) if cfg.freeze_operator else None
+    sample_rows = cfg.row_sample is not None and cfg.row_sample < m
+
+    def direction(x, point, k):
+        op = frozen if frozen is not None else build_operator(N, cfg.n, rng)
+        rows = sample_without_replacement(m, cfg.row_sample, rng) if sample_rows else None
+        system = galerkin_system(model, x, op, rows, point=point)
+        step = coarse_direction(system, op)
+        # A d from the gathered columns in O(m n); the block and the reduced
+        # curvature go before any fine step
+        g_reduced, dz = system.g, system.block @ step.d_coarse
+        del system
+        lam: Optional[float] = None
+        d_fine: Optional[np.ndarray] = None
+        if cfg.check_mode == FULL_DECREMENT:
+            d_fine, lam = newton_direction(model, x, point=point)
+        chosen = direction_select(step.lambda_hat, lam, point.g, g_reduced, cfg)
+        if chosen == COARSE:
+            d, decrement = step.d_hat, step.lambda_hat
+        else:
+            if d_fine is None:
+                d_fine, lam = newton_direction(model, x, point=point)
+            d, decrement, dz = d_fine, lam, model.predict(d_fine)
+        return Direction(d, decrement * decrement, step.lambda_hat, lam, chosen, dz=dz)
+
+    return drive(model, x0, cfg, direction, error_label=COARSE)

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from sigma_opt import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens here, outside any timed test body
-    kernels.warmup()
-
 
 @pytest.fixture()
 def gen():

@@ -37,6 +37,7 @@ class TestConfigValidation:
             {"alpha": 0.5},
             {"beta": 0.0},
             {"epsilon": 1.0},
+            {"zeta": 1.0},
         ],
     )
     def test_rejects(self, kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sigma_opt import load_libsvm
+from sigma_opt import BaselineConfig, SigmaConfig, load_libsvm
 from sigma_opt.cli import TRACE_HEADER, cli
 
 
@@ -73,6 +74,17 @@ class TestSolve:
         res = runner.invoke(cli, _solve_args(tmp_path / "o", extra=["--solver", "gd"]))
         assert res.exit_code in (0, 2)
         assert (tmp_path / "o" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("solver", ["sigma", "newton"])
+    def test_defaults_are_the_config_defaults(self, runner, tmp_path, solver):
+        # with no tuning flags the solver runs with its dataclass defaults
+        out = tmp_path / "o"
+        res = runner.invoke(cli, ["solve", "--data", "synthetic", "--m", "40", "--N", "20",
+                                  "--p", "4", "--solver", solver, "--out", str(out)])
+        assert res.exit_code in (0, 2), res.output
+        summary = json.loads((out / "summary.json").read_text())
+        expected = SigmaConfig(n=10) if solver == "sigma" else BaselineConfig(method="newton")
+        assert summary["solver_config"] == dataclasses.asdict(expected)
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.yaml"

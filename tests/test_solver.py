@@ -213,6 +213,12 @@ class TestPoissonFeasibleStep:
         t0 = poisson_feasible_step(self.model, np.array([1.0]), np.array([-2.0]), 0.1, 2.0)
         assert 0.0 < t0 < 0.5
 
+    @pytest.mark.parametrize("zeta", [1.0, 0.5])
+    def test_rejects_zeta_not_above_one(self, zeta):
+        # the growth loop would never end: t * zeta <= t stays feasible
+        with pytest.raises(DomainError):
+            poisson_feasible_step(self.model, np.array([1.0]), np.array([0.5]), 3.0, zeta)
+
 
 class TestSigmaSolve:
     def test_quadratic_full_operator_one_iteration(self):
@@ -397,11 +403,19 @@ def test_timeout_status(gen):
     assert res.status in ("timeout", "converged")
 
 
-@pytest.mark.parametrize("kind", ["logistic", "poisson"])
-def test_one_pass_over_data_each_way_per_iterate(kind, gen, monkeypatch):
+SOLVERS = ("sigma", "gd", "sgd", "newton", "subnewton", "newsamp")
+
+
+@pytest.mark.parametrize(("kind", "solver"), [
+    pytest.param(kind, solver, id=kind if solver == "sigma" else f"{kind}-{solver}")
+    for kind in ("logistic", "poisson") for solver in SOLVERS
+])
+def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch):
     # every iterate is evaluated once: one A x (predict) and one A^T w
-    # (gradient); the Poisson start adds one domain check
-    from sigma_opt import ObjectiveModel
+    # (gradient); the baselines' dense steps add one A d each (SGD's Poisson
+    # domain check instead, with a step small enough to need no halving), and
+    # the Poisson start adds one domain check
+    from sigma_opt import BaselineConfig, ObjectiveModel, baseline_solve
 
     if kind == "logistic":
         model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
@@ -414,6 +428,13 @@ def test_one_pass_over_data_each_way_per_iterate(kind, gen, monkeypatch):
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(ObjectiveModel, name, counted)
-    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-14, max_iter=25, seed=2))
-    assert res.iterations >= 10
-    assert len(calls) <= 2 * (res.iterations + 1) + 1
+    if solver == "sigma":
+        res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-14, max_iter=25, seed=2))
+        per_iterate = 2
+    else:
+        res = baseline_solve(model, x0, BaselineConfig(method=solver, epsilon=1e-14, max_iter=25,
+                                                       sgd_t=1e-5, seed=2))
+        per_iterate = 3
+    # Newton converges in a few steps; one extra pass each would still show
+    assert res.iterations >= (4 if solver == "newton" else 10)
+    assert len(calls) <= per_iterate * (res.iterations + 1) + 1
