@@ -125,6 +125,11 @@ def _merge_config(ctx, defaults: dict, config_path) -> dict:
     return merged
 
 
+# the parameters _build_dataset reads
+_DATASET_KEYS = ("data", "label_column", "n_features", "standardize", "m", "N", "p", "gap",
+                 "labels", "model", "noise", "seed")
+
+
 def _build_dataset(p: dict):
     """Returns (Dataset, x_true or None, data_meta dict)."""
     src = p["data"]
@@ -294,7 +299,7 @@ def solve(ctx, config, **_kwargs):
 @click.pass_context
 def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
     """Compare solvers on one dataset; writes one trace per solver plus
-    comparison.csv and summary.md."""
+    comparison.csv and summary.md. Each distinct dataset is built once."""
     defaults = {**_SOLVE_DEFAULTS, "solvers": solvers, "p_list": p_list}
     p = _merge_config(ctx, defaults, config)
     out = Path(p["out"])
@@ -314,11 +319,15 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
         for name in _as_list(p["solvers"], str):
             entries.append((name, {**p, "solver": name}))
 
+    datasets = {}  # each distinct dataset is built (its file parsed) once
     rows, summaries, failures = [], [], 0
     for idx, (name, ep) in enumerate(entries):
         seed = ep["seed"] + idx
+        key = tuple(ep[k] for k in _DATASET_KEYS)
         try:
-            ds, x_true, _ = _build_dataset(ep)
+            if key not in datasets:
+                datasets[key] = _build_dataset(ep)
+            ds, x_true, _ = datasets[key]
             model = _build_model(ep, ds)
             x0 = _resolve_x0(model, x_true)
             result, _cfg = _run_one(ep, model, x0, ep["solver"], seed)

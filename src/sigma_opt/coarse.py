@@ -102,11 +102,12 @@ def galerkin_system(
 
     ``point`` is ``model.point(x)`` when the caller already has it. The columns
     ``A[:, S]`` are gathered once, over every row, for the curvature and for
-    the step.
+    the step; on a column-major ``A`` that is ``n`` contiguous column copies.
+    (Indexing, not ``take`` along axis 1, which is about 100x slower there.)
     """
     if point is None:
         point = model.point(x)
-    block = np.take(model.dataset.A, op.indices, axis=1)
+    block = model.dataset.A[:, op.indices]
     q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, block=block)
     return GalerkinSystem(q=q, g=point.g[op.indices], block=block)
 

@@ -1,5 +1,9 @@
 """Dataset ingestion (libsvm, CSV), standardization, and synthetic generation.
 
+Every loader and the generator return ``A`` column-major (Fortran order): the
+solver gathers sampled columns ``A[:, S]`` every iteration, which is then a
+copy of contiguous columns.
+
 The synthetic generator builds ``A = U S V^T`` from Haar-orthogonal factors
 with evenly spaced singular values split in two bands around a configurable
 gap, so the position ``p`` of the spectral gap is a single knob. Labels are
@@ -83,13 +87,14 @@ def svd_gap_matrix(spec: SvdGapSpec, rng: RngState) -> np.ndarray:
 
     Only the first ``min(m, N)`` columns of the orthogonal factors are
     generated; the distribution of ``A`` is unchanged and the cost drops from
-    O(m^3) to O(m k^2).
+    O(m^3) to O(m k^2). ``A`` is returned column-major (Fortran order), the
+    transpose of the row-major product ``V (U S)^T``, so no copy is made.
     """
     sv = singular_value_bands(spec)
     k = sv.shape[0]
     U = haar_frame(spec.m, k, rng.child())
     V = haar_frame(spec.N, k, rng.child())
-    return (U * sv) @ V.T
+    return (V @ (U * sv).T).T
 
 
 def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +204,7 @@ def apply_standardize(ds: Dataset, params: StandardizeParams) -> Dataset:
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Parse the libsvm text format (``label idx:val ...``, 1-based ascending
-    indices) into a dense dataset.
+    indices) into a dense, column-major dataset.
 
     The feature count is inferred from the largest index unless overridden.
     Binary {0, 1} label files are normalized to {-1, +1}; all other label
@@ -242,7 +247,7 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     N = n_features if n_features is not None else max_idx
     if max_idx > N:
         raise InvalidDimensions(f"file has index {max_idx} but n_features={N}")
-    A = np.zeros((len(rows), N))
+    A = np.zeros((len(rows), N), order="F")
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             A[i, idx - 1] = val
@@ -272,7 +277,8 @@ def load_csv(path, label_column="last") -> Dataset:
     """Rectangular numeric CSV with an optional header row.
 
     ``label_column`` is a 0-based column index or ``"last"``. The header is
-    auto-detected: a first row with any non-numeric cell is skipped.
+    auto-detected: a first row with any non-numeric cell is skipped. ``A`` is
+    column-major.
     """
     raw: list[list[str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -287,7 +293,7 @@ def load_csv(path, label_column="last") -> Dataset:
         if len(raw) == 1:
             raise ParseError(f"{path}: header only, no data rows")
     width = len(raw[start])
-    data = np.empty((len(raw) - start, width))
+    data = np.empty((len(raw) - start, width), order="F")
     for i, rec in enumerate(raw[start:], start=start):
         if len(rec) != width:
             raise RaggedRows(f"expected {width} fields, got {len(rec)}", line=i + 1)
@@ -298,8 +304,9 @@ def load_csv(path, label_column="last") -> Dataset:
     col = width - 1 if label_column == "last" else int(label_column)
     if not 0 <= col < width:
         raise InvalidDimensions(f"label column {col} out of range for width {width}")
-    b = data[:, col]
-    A = np.delete(data, col, axis=1)
+    # a copy, so the dataset does not keep all of ``data`` alive through b
+    b = data[:, col].copy()
+    A = np.delete(data, col, axis=1)  # column-major, like data
     return Dataset(A, b)
 
 

@@ -6,13 +6,16 @@ Two kernel families dominate a solver iteration:
   first/second-derivative row weights for a GLM.
 * ``gram_gather`` -- the weighted Gram matrix ``sum_i w_i a_i[cols] a_i[cols]^T``
   over a row subset, gathered directly from the data matrix. This is the
-  O(m n^2) reduced-curvature assembly. It takes ``GRAM_ROWS`` rows at a time:
-  it gathers them (a plain row copy when every column is used, as for a block
-  of ``A[:, S]`` the solver has already gathered with ``np.take``), scales the
-  copy in place by ``sqrt(w)`` and adds its ``B^T B``, which numpy runs as
-  BLAS syrk. The weights must be nonnegative; they are for all three GLMs. A
-  syrk result is exactly symmetric, and so is their sum, so no mirror step is
-  needed; the scratch memory is one chunk, never a second m x n block.
+  O(m n^2) reduced-curvature assembly. It takes ``GRAM_ROWS`` rows at a time,
+  scales them by ``sqrt(w)`` and adds their ``B^T B``, which numpy runs as
+  BLAS syrk. When every row and column is used, as for the block ``A[:, S]``
+  the solver has already gathered, a chunk is a basic slice scaled into a
+  new array; otherwise the rows (and columns) are gathered by fancy indexing
+  and scaled in place. Either works on a row- or column-major matrix and
+  gives the same bits. The weights must be nonnegative; they are for all
+  three GLMs. A syrk result is exactly symmetric, and so is their sum, so no
+  mirror step is needed; the scratch memory is one chunk, never a second
+  m x n block.
 
 ``set_num_threads`` caps, at runtime, the pool of each OpenBLAS loaded in the
 process (numpy's and scipy's wheels each bring one).
@@ -125,10 +128,16 @@ def gram_gather(A: np.ndarray, w: np.ndarray, cols: np.ndarray, rows: np.ndarray
     """
     n = cols.shape[0]
     every_col = n == A.shape[1]
+    every_row = rows.shape[0] == A.shape[0]
     q = np.zeros((n, n))
     for lo in range(0, rows.shape[0], GRAM_ROWS):
-        r = rows[lo:lo + GRAM_ROWS]
-        block = A[r] if every_col else A[np.ix_(r, cols)]
-        block *= np.sqrt(w[r])[:, None]
+        if every_row and every_col:
+            block = A[lo:lo + GRAM_ROWS] * np.sqrt(w[lo:lo + GRAM_ROWS])[:, None]
+        else:
+            r = rows[lo:lo + GRAM_ROWS]
+            block = A[r] if every_col else A[np.ix_(r, cols)]
+            block *= np.sqrt(w[r])[:, None]
         q += block.T @ block
+        # freed before the next chunk is allocated, so one chunk is live
+        del block
     return q

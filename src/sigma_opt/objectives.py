@@ -28,13 +28,21 @@ KINDS = (GAUSSIAN, POISSON, LOGISTIC)
 
 @dataclass
 class Dataset:
-    """Feature matrix ``A`` (m x N, rows are data points) and response vector ``b``."""
+    """Feature matrix ``A`` (m x N, rows are data points) and response vector ``b``.
+
+    A row-major or column-major contiguous ``A`` is kept as given, without a
+    copy; any other layout is copied column-major. The package's loaders and
+    generator produce column-major ``A``, for which the solver's column
+    gather ``A[:, S]`` copies contiguous columns.
+    """
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.A = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
+        self.A = np.asarray(self.A, dtype=np.float64)
+        if not (self.A.flags.c_contiguous or self.A.flags.f_contiguous):
+            self.A = np.asfortranarray(self.A)
         self.b = np.ascontiguousarray(np.asarray(self.b, dtype=np.float64))
         if self.A.ndim != 2:
             raise InvalidDimensions(f"A must be 2-d, got shape {self.A.shape}")

@@ -293,10 +293,15 @@ def _initial_step(ray: Ray, decrement: float, zeta: float) -> float:
     return 1.0
 
 
-def _scheduled_step(model: ObjectiveModel, x: np.ndarray, d: np.ndarray, t: float) -> float:
-    # no line search: halve a fixed-schedule step until back inside the domain
+def _scheduled_step(model: ObjectiveModel, x: np.ndarray, point: Point, d: np.ndarray,
+                    t: float) -> float:
+    # no line search: halve a fixed-schedule step until back inside the
+    # domain; on Poisson A d is formed once and each trial costs O(m)
+    if model.kind != POISSON:
+        return t
+    feasible = Ray(model, x, d, z=point.z).feasible
     for _ in range(200):
-        if model.domain_status(x + t * d).feasible:
+        if feasible(t):
             return t
         t *= 0.5
     return t
@@ -305,7 +310,7 @@ def _scheduled_step(model: ObjectiveModel, x: np.ndarray, d: np.ndarray, t: floa
 def _step_length(model: ObjectiveModel, x, point, step: Direction, cfg: SolveConfig):
     """``(t, backtracks)`` along ``step.d`` by the direction's rule."""
     if step.rule == SCHEDULED:
-        return _scheduled_step(model, x, step.d, step.t0), 0
+        return _scheduled_step(model, x, point, step.d, step.t0), 0
     ray = Ray(model, x, step.d, z=point.z, dz=step.dz)
     # sqrt(v * v) == v exactly in binary floating point unless v * v
     # underflows, so a direction that squared its decrement gets it back
@@ -334,8 +339,6 @@ def drive(
     Raises :class:`OutOfDomain` if ``x0`` is infeasible.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
-    if not model.domain_status(x).feasible:
-        raise OutOfDomain("x0 is infeasible for the Poisson domain")
     result = SolveResult(x_final=x, trace=[])
     started = time.monotonic()
     k = 0

@@ -169,13 +169,47 @@ class TestBench:
         assert by_name["newsamp"]["status"] == "error"
         assert by_name["sigma"]["status"] in ("converged", "max_iter")
 
+    @pytest.mark.parametrize(("args", "builds"), [
+        (["--solvers", "sigma,gd,newton"], 1),
+        (["--p-list", "0.2,0.5"], 2),  # the synthetic p differs per entry
+    ])
+    def test_dataset_built_once_per_distinct_input(self, runner, tmp_path, monkeypatch, args,
+                                                   builds):
+        from sigma_opt import cli as cli_mod
+
+        if "--p-list" in args:
+            data_args = ["--data", "synthetic", "--m", "30", "--N", "10"]
+        else:
+            runner.invoke(cli, ["datagen", "--m", "30", "--N", "10", "--p", "3",
+                                "--labels", "gaussian", "--out", str(tmp_path)])
+            data_args = ["--data", str(tmp_path / "data.libsvm")]
+        calls = []
+
+        def counted(p, _orig=cli_mod._build_dataset):
+            calls.append(p)
+            return _orig(p)
+
+        monkeypatch.setattr(cli_mod, "_build_dataset", counted)
+        res = runner.invoke(cli, ["bench", *data_args, "--n", "5", "--seed", "1", *args,
+                                  "--epsilon", "1e-8", "--max-iter", "50",
+                                  "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == builds
+        summaries = json.loads((tmp_path / "b" / "bench_summary.json").read_text())
+        assert len(summaries) == (3 if builds == 1 else 2)
+        assert all(s["status"] != "error" for s in summaries)
+
     def test_all_fail_exit_1(self, runner, tmp_path):
         res = runner.invoke(
             cli,
-            ["bench", "--data", str(tmp_path / "missing.libsvm"), "--solvers", "gd",
+            ["bench", "--data", str(tmp_path / "missing.libsvm"), "--solvers", "gd,newton",
              "--out", str(tmp_path / "x")],
         )
         assert res.exit_code == 1
+        # every entry gets its own error row
+        summaries = json.loads((tmp_path / "x" / "bench_summary.json").read_text())
+        assert [(s["solver"], s["status"]) for s in summaries] == [("gd", "error"),
+                                                                   ("newton", "error")]
 
     def test_gnuplot_script(self, runner, tmp_path):
         out = tmp_path / "plot"

@@ -102,12 +102,16 @@ class TestGalerkinSystem:
         assert np.allclose(sys.q, np.eye(1), atol=1e-14)
 
     def test_matches_materialized_subblock(self, gen):
-        model = random_logistic_model(gen, m=3, N=4)
+        base = random_logistic_model(gen, m=3, N=4)
         x = gen.standard_normal(4)
         op = CoarseOperator(np.array([0, 2], dtype=np.int64), 4)
-        sys = galerkin_system(model, x, op)
-        assert np.allclose(sys.q, model.hessian(x)[np.ix_(op.indices, op.indices)], atol=1e-12)
-        assert np.array_equal(sys.block, model.dataset.A[:, op.indices])
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            A = layout(base.dataset.A)
+            model = make_objective("logistic", Dataset(A, base.dataset.b))
+            sys = galerkin_system(model, x, op)
+            assert np.allclose(sys.q, model.hessian(x)[np.ix_(op.indices, op.indices)],
+                               atol=1e-12)
+            assert np.array_equal(sys.block, A[:, op.indices])
 
 
 class TestCoarseDirection:

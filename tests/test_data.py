@@ -60,6 +60,11 @@ class TestLibsvm:
         with pytest.raises(NonAscendingIndexError):
             load_libsvm(p)
 
+    def test_column_major(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("1 1:0.5 3:-2\n-1 2:1\n")
+        assert load_libsvm(p).A.flags.f_contiguous
+
     def test_n_features_override(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("2.5 1:1\n")
@@ -106,6 +111,14 @@ class TestCsv:
         ds = load_csv(p, label_column=0)
         assert ds.b.tolist() == [9.0, 8.0]
         assert np.allclose(ds.A, [[1, 2], [3, 4]])
+
+    def test_column_major(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("9,1,2,5\n8,3,4,6\n")
+        ds = load_csv(p, label_column=1)
+        assert ds.A.flags.f_contiguous
+        assert np.array_equal(ds.A, [[9, 2, 5], [8, 4, 6]])
+        assert ds.b.tolist() == [1.0, 3.0]
 
     def test_ragged(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -161,6 +174,11 @@ class TestSvdGap:
         V = haar_frame(spec.N, 8, rng.child())
         assert np.max(np.abs(U.T @ U - np.eye(8))) <= 1e-10
         assert np.max(np.abs(V.T @ V - np.eye(8))) <= 1e-10
+
+    @pytest.mark.parametrize(("m", "N"), [(30, 10), (5, 12)])
+    def test_column_major(self, m, N):
+        A = svd_gap_matrix(SvdGapSpec(m=m, N=N, p=3, gap=10.0, seed=6), RngState(6))
+        assert A.flags.f_contiguous
 
     def test_determinism(self):
         spec = SvdGapSpec(m=10, N=5, p=2, gap=10.0, seed=5)

@@ -35,13 +35,19 @@ def test_gram_numpy_matches_reference(case, gen):
         cols = np.arange(N, dtype=np.int64)
     elif case == "single_column":
         cols = np.array([2], dtype=np.int64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        q = kernels.gram_gather(A, w, cols, rows)
+    # the same bits from a row-major and a column-major A
+    qs = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        X = layout(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qs.append(kernels.gram_gather(X, w, cols, rows))
+        assert np.array_equal(X, A_before)
+    q = qs[0]
+    assert np.array_equal(qs[1], q)
     expected = gram_reference(A, w, cols, rows)
     np.testing.assert_allclose(q, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     assert np.array_equal(q, q.T)
-    assert np.array_equal(A, A_before)
 
 
 def test_logistic_terms_stable_at_extreme_margins():

@@ -19,6 +19,19 @@ REGS = [
 ]
 
 
+class TestDatasetLayout:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_contiguous_kept_without_copy(self, order, gen):
+        A = np.asarray(gen.standard_normal((6, 4)), order=order)
+        assert np.shares_memory(Dataset(A, np.zeros(6)).A, A)
+
+    def test_strided_view_made_column_major(self, gen):
+        A = gen.standard_normal((6, 8))[:, ::2]
+        ds = Dataset(A, np.zeros(6))
+        assert ds.A.flags.f_contiguous
+        assert np.array_equal(ds.A, A)
+
+
 class TestPoissonScale:
     def test_single_unit_count(self):
         assert poisson_scale(np.array([1.0]), 1) == pytest.approx(1.0)

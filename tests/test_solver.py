@@ -5,10 +5,13 @@ import pytest
 
 from helpers import positive_poisson_instance, random_gaussian_model, random_logistic_model
 from sigma_opt import (
+    BaselineConfig,
     Dataset,
+    ObjectiveModel,
     Regularization,
     SigmaConfig,
     armijo_search,
+    baseline_solve,
     damped_initial_step,
     direction_select,
     eta_region,
@@ -406,21 +409,8 @@ def test_timeout_status(gen):
 SOLVERS = ("sigma", "gd", "sgd", "newton", "subnewton", "newsamp")
 
 
-@pytest.mark.parametrize(("kind", "solver"), [
-    pytest.param(kind, solver, id=kind if solver == "sigma" else f"{kind}-{solver}")
-    for kind in ("logistic", "poisson") for solver in SOLVERS
-])
-def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch):
-    # every iterate is evaluated once: one A x (predict) and one A^T w
-    # (gradient); the baselines' dense steps add one A d each (SGD's Poisson
-    # domain check instead, with a step small enough to need no halving), and
-    # the Poisson start adds one domain check
-    from sigma_opt import BaselineConfig, ObjectiveModel, baseline_solve
-
-    if kind == "logistic":
-        model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
-    else:
-        model, x0 = positive_poisson_instance(m=80, N=20)
+def _count_passes(monkeypatch):
+    """A list that gets one entry per ``predict`` or ``gradient`` call."""
     calls = []
     for name in ("predict", "gradient"):
         def counted(self, *args, _orig=getattr(ObjectiveModel, name), **kwargs):
@@ -428,6 +418,22 @@ def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch)
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(ObjectiveModel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(("kind", "solver"), [
+    pytest.param(kind, solver, id=kind if solver == "sigma" else f"{kind}-{solver}")
+    for kind in ("logistic", "poisson") for solver in SOLVERS
+])
+def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch):
+    # every iterate is evaluated once: one A x (predict) and one A^T w
+    # (gradient); the baselines' dense steps add one A d each (SGD's only on
+    # Poisson, for its domain check)
+    if kind == "logistic":
+        model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
+    else:
+        model, x0 = positive_poisson_instance(m=80, N=20)
+    calls = _count_passes(monkeypatch)
     if solver == "sigma":
         res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-14, max_iter=25, seed=2))
         per_iterate = 2
@@ -437,4 +443,39 @@ def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch)
         per_iterate = 3
     # Newton converges in a few steps; one extra pass each would still show
     assert res.iterations >= (4 if solver == "newton" else 10)
-    assert len(calls) <= per_iterate * (res.iterations + 1) + 1
+    assert len(calls) <= per_iterate * (res.iterations + 1)
+
+
+def test_sgd_poisson_halving_forms_a_d_once(monkeypatch):
+    # the default sgd_t=1 leaves the domain and is halved many times; each
+    # trial is tested from A x and one A d, not by a pass over the data
+    model, x0 = positive_poisson_instance(m=80, N=20)
+    calls = _count_passes(monkeypatch)
+    res = baseline_solve(model, x0, BaselineConfig(method="sgd", epsilon=1e-14, max_iter=25,
+                                                   seed=2))
+    assert res.iterations == 25
+    assert min(r.step for r in res.trace[:-1]) < 1e-3  # the halving did run
+    assert len(calls) <= 3 * (res.iterations + 1)
+
+
+@pytest.mark.parametrize("method", ["sigma_row_sample", "sgd"])
+def test_same_iterations_on_row_and_column_major_data(method, gen):
+    A = gen.standard_normal((60, 20))
+    if method == "sgd":
+        # noiseless least squares, so SGD's gradient noise vanishes and it converges
+        kind, b, reg = "gaussian", A @ gen.standard_normal(20), Regularization()
+    else:
+        kind, b = "logistic", np.where(gen.standard_normal(60) > 0, 1.0, -1.0)
+        reg = Regularization(xi2=1e-3)
+    results = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        model = make_objective(kind, Dataset(layout(A), b), reg)
+        if method == "sgd":
+            cfg = BaselineConfig(method="sgd", batch=10, sgd_t=0.5, epsilon=1e-16, max_iter=5000,
+                                 seed=3)
+            results.append(baseline_solve(model, np.zeros(20), cfg))
+        else:
+            cfg = SigmaConfig(n=5, row_sample=30, epsilon=1e-12, max_iter=500, seed=3)
+            results.append(sigma_solve(model, np.zeros(20), cfg))
+    assert results[0].status == results[1].status == "converged"
+    assert results[0].iterations == results[1].iterations
