@@ -39,12 +39,10 @@ class CoarseOperator:
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Reduced curvature ``Q_H``, reduced gradient ``R grad f``, and the gathered
-    columns ``A[:, S]`` (m x n), from which a coarse step's ``A d`` costs O(m n)."""
+    """Reduced curvature ``Q_H`` and reduced gradient ``R grad f``."""
 
     q: np.ndarray
     g: np.ndarray
-    block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,15 @@ def galerkin_system(
 ) -> GalerkinSystem:
     """Assemble ``Q_H`` and the reduced gradient at ``x`` in O(m n^2).
 
-    ``point`` is ``model.point(x)`` when the caller already has it. The columns
-    ``A[:, S]`` are gathered once, over every row, for the curvature and for
-    the step; on a column-major ``A`` that is ``n`` contiguous column copies.
-    (Indexing, not ``take`` along axis 1, which is about 100x slower there.)
+    ``point`` is ``model.point(x)`` when the caller already has it. The
+    curvature gathers the sampled block of ``A`` once and scales it in place
+    (:func:`kernels.gram_gather`); ``op`` has validated its indices, so they
+    are not checked again.
     """
     if point is None:
         point = model.point(x)
-    block = model.dataset.A[:, op.indices]
-    q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, block=block)
-    return GalerkinSystem(q=q, g=point.g[op.indices], block=block)
+    q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, checked=True)
+    return GalerkinSystem(q=q, g=point.g[op.indices])
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:

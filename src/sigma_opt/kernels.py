@@ -6,16 +6,12 @@ Two kernel families dominate a solver iteration:
   first/second-derivative row weights for a GLM.
 * ``gram_gather`` -- the weighted Gram matrix ``sum_i w_i a_i[cols] a_i[cols]^T``
   over a row subset, gathered directly from the data matrix. This is the
-  O(m n^2) reduced-curvature assembly. It takes ``GRAM_ROWS`` rows at a time,
-  scales them by ``sqrt(w)`` and adds their ``B^T B``, which numpy runs as
-  BLAS syrk. When every row and column is used, as for the block ``A[:, S]``
-  the solver has already gathered, a chunk is a basic slice scaled into a
-  new array; otherwise the rows (and columns) are gathered by fancy indexing
-  and scaled in place. Either works on a row- or column-major matrix and
-  gives the same bits. The weights must be nonnegative; they are for all
-  three GLMs. A syrk result is exactly symmetric, and so is their sum, so no
-  mirror step is needed; the scratch memory is one chunk, never a second
-  m x n block.
+  O(m n^2) reduced-curvature assembly, and over every row and column the
+  dense Hessian's data term. It gathers the ``rows x cols`` block once,
+  scales it by ``sqrt(w)`` (nonnegative for all three GLMs) and returns
+  ``B^T B``, which numpy runs as one BLAS syrk: the result is exactly
+  symmetric with no mirror step. ``A`` is never modified, and a row- or
+  column-major ``A`` gives the same bits.
 
 ``set_num_threads`` caps, at runtime, the pool of each OpenBLAS loaded in the
 process (numpy's and scipy's wheels each bring one).
@@ -104,11 +100,6 @@ def _poisson_terms(z, b):
 
 _TERMS = {"gaussian": _gaussian_terms, "logistic": _logistic_terms, "poisson": _poisson_terms}
 
-# Rows per syrk call in gram_gather; the scratch copy is GRAM_ROWS x n.
-# At m = 4000, n = 200 on one thread, 256-row calls take about as long as one
-# call over the whole block.
-GRAM_ROWS = 256
-
 
 def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     """Per-row loss sum and derivative weights for one GLM kind.
@@ -126,18 +117,12 @@ def gram_gather(A: np.ndarray, w: np.ndarray, cols: np.ndarray, rows: np.ndarray
     ``cols`` and ``rows`` are strictly increasing index arrays. ``w`` must be
     nonnegative: rows are scaled by ``sqrt(w)``.
     """
-    n = cols.shape[0]
-    every_col = n == A.shape[1]
     every_row = rows.shape[0] == A.shape[0]
-    q = np.zeros((n, n))
-    for lo in range(0, rows.shape[0], GRAM_ROWS):
-        if every_row and every_col:
-            block = A[lo:lo + GRAM_ROWS] * np.sqrt(w[lo:lo + GRAM_ROWS])[:, None]
-        else:
-            r = rows[lo:lo + GRAM_ROWS]
-            block = A[r] if every_col else A[np.ix_(r, cols)]
-            block *= np.sqrt(w[r])[:, None]
-        q += block.T @ block
-        # freed before the next chunk is allocated, so one chunk is live
-        del block
-    return q
+    every_col = cols.shape[0] == A.shape[1]
+    s = np.sqrt(w if every_row else w[rows])[:, None]
+    if every_row and every_col:
+        block = A * s
+    else:
+        block = A[:, cols] if every_row else A[rows] if every_col else A[np.ix_(rows, cols)]
+        block *= s
+    return block.T @ block

@@ -115,8 +115,9 @@ class DomainStatus:
 class Point:
     """The model evaluated once at an iterate ``x``.
 
-    ``z = A x``, the objective ``f`` and the full gradient ``g`` (bit-identical
-    to ``evaluate(x)`` and ``gradient(x)``), and the curvature row weights
+    The margins ``z = A x`` (formed, or carried by the caller), the objective
+    ``f`` and full gradient ``g`` (bit-identical to ``evaluate(x)`` and
+    ``gradient(x)`` when ``z`` was formed), and the curvature row weights
     ``w2``, which are nonnegative for all three GLMs.
     """
 
@@ -180,17 +181,19 @@ class ObjectiveModel:
 
     # -- oracles -----------------------------------------------------------
 
-    def _terms(self, x: np.ndarray):
-        z = self.predict(x)
+    def _terms(self, x: np.ndarray, z: np.ndarray | None = None):
+        if z is None:
+            z = self.predict(x)
         self._check_domain(z)
         return z, kernels.glm_terms(self.kind, z, self.dataset.b)
 
-    def point(self, x: np.ndarray) -> Point:
-        """Evaluate ``x`` once: one ``A x``, one pass of the GLM terms, one ``A^T w``.
+    def point(self, x: np.ndarray, z: np.ndarray | None = None) -> Point:
+        """Evaluate ``x`` once: one pass of the GLM terms and one ``A^T w``.
 
-        Raises :class:`OutOfDomain` on infeasible Poisson iterates.
+        ``z``, ``A x`` carried by the caller, skips forming it. Raises
+        :class:`OutOfDomain` on infeasible Poisson iterates.
         """
-        z, (loss, w1, w2) = self._terms(x)
+        z, (loss, w1, w2) = self._terms(x, z)
         f = self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
         return Point(z=z, f=f, g=self.gradient(x, w1=w1), w2=w2)
 
@@ -206,15 +209,16 @@ class ObjectiveModel:
         return self._row_coeff(self.dataset.m) * (self.dataset.A.T @ w1) + self.reg.grad(x)
 
     def hessian(self, x: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
-        """Dense N x N Hessian; intended for N small enough to materialize.
+        """Dense N x N Hessian, exactly symmetric; intended for N small enough to
+        materialize. The data term is one :func:`kernels.gram_gather` syrk.
 
         ``w2``, the curvature row weights at ``x``, skips forming ``A x``.
         """
         if w2 is None:
             _, (_, _, w2) = self._terms(x)
-        A = self.dataset.A
-        h = self._row_coeff(self.dataset.m) * (A.T @ (w2[:, None] * A))
-        h = 0.5 * (h + h.T)
+        m, N = self.dataset.m, self.dataset.N
+        h = self._row_coeff(m) * kernels.gram_gather(
+            self.dataset.A, w2, np.arange(N, dtype=np.int64), np.arange(m, dtype=np.int64))
         d = self.reg.hess_diag(x)
         h[np.diag_indices_from(h)] += d
         return h
@@ -230,28 +234,26 @@ class ObjectiveModel:
         S: np.ndarray,
         row_sample: np.ndarray | None = None,
         w2: np.ndarray | None = None,
-        block: np.ndarray | None = None,
+        *,
+        checked: bool = False,
     ) -> np.ndarray:
         """The ``S x S`` block of the Hessian in O(len(rows) * n^2).
 
         With ``row_sample`` given, the data term is the reweighted sum over the
         sampled rows (full rows reproduce the exact block). Never forms the
         N x N Hessian. ``w2``, the curvature row weights at ``x``, skips forming
-        ``A x``; ``block``, the columns ``A[:, S]`` already gathered, skips the
-        column gather.
+        ``A x``. ``checked=True`` says the caller has already validated ``S``
+        (a :class:`~sigma_opt.coarse.CoarseOperator` does so on construction).
         """
-        S = _check_index_set(S, self.dataset.N)
+        if not checked:
+            S = _check_index_set(S, self.dataset.N)
         if row_sample is None:
             rows = np.arange(self.dataset.m, dtype=np.int64)
         else:
             rows = _check_index_set(row_sample, self.dataset.m)
         if w2 is None:
             _, (_, _, w2) = self._terms(x)
-        if block is None:
-            gram = kernels.gram_gather(self.dataset.A, w2, S, rows)
-        else:
-            gram = kernels.gram_gather(block, w2, np.arange(S.shape[0], dtype=np.int64), rows)
-        q = self._row_coeff(rows.shape[0]) * gram
+        q = self._row_coeff(rows.shape[0]) * kernels.gram_gather(self.dataset.A, w2, S, rows)
         d = self.reg.hess_diag(x[S])
         q[np.diag_indices_from(q)] += d
         return q

@@ -9,6 +9,7 @@ from sigma_opt import (
     Dataset,
     Regularization,
     RngState,
+    SigmaConfig,
     build_operator,
     coarse_direction,
     decrements,
@@ -20,6 +21,8 @@ from sigma_opt import (
     prolong,
     restrict,
     sample_without_replacement,
+    sigma_solve,
+    solver,
 )
 from sigma_opt.errors import InvalidDimensions
 
@@ -101,17 +104,31 @@ class TestGalerkinSystem:
         sys = galerkin_system(model, np.array([3.0, 4.0]), op)
         assert np.allclose(sys.q, np.eye(1), atol=1e-14)
 
-    def test_matches_materialized_subblock(self, gen):
+    def test_matches_materialized_subblock(self, gen, monkeypatch):
         base = random_logistic_model(gen, m=3, N=4)
         x = gen.standard_normal(4)
         op = CoarseOperator(np.array([0, 2], dtype=np.int64), 4)
+        steps = []
+
+        def recorded(model, x, point, step, cfg, _orig=solver._step_length):
+            steps.append(step)
+            return _orig(model, x, point, step, cfg)
+
+        monkeypatch.setattr(solver, "_step_length", recorded)
         for layout in (np.ascontiguousarray, np.asfortranarray):
             A = layout(base.dataset.A)
+            A_before = A.copy()
             model = make_objective("logistic", Dataset(A, base.dataset.b))
             sys = galerkin_system(model, x, op)
             assert np.allclose(sys.q, model.hessian(x)[np.ix_(op.indices, op.indices)],
                                atol=1e-12)
-            assert np.array_equal(sys.block, A[:, op.indices])
+            assert np.array_equal(A, A_before)
+            # SIGMA's step A d comes from the sampled columns alone
+            steps.clear()
+            sigma_solve(model, x, SigmaConfig(n=2, epsilon=1e-14, max_iter=3, seed=1))
+            assert steps
+            for step in steps:
+                np.testing.assert_allclose(step.dz, A @ step.d, rtol=1e-13, atol=1e-15)
 
 
 class TestCoarseDirection:

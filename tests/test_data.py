@@ -60,6 +60,13 @@ class TestLibsvm:
         with pytest.raises(NonAscendingIndexError):
             load_libsvm(p)
 
+    @pytest.mark.parametrize("line", ["1 1:nan 2:1", "1 1:1 2:inf", "1 2:-inf", "nan 1:1"])
+    def test_non_finite_rejected(self, tmp_path, line):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"{line}\n-1 1:0.5\n")
+        with pytest.raises(DomainError):
+            load_libsvm(p)
+
     def test_column_major(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("1 1:0.5 3:-2\n-1 2:1\n")
@@ -130,6 +137,13 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("1,2,3\n1,x,3\n")
         with pytest.raises(ParseError):
+            load_csv(p)
+
+    @pytest.mark.parametrize("row", ["nan,2,1", "1,inf,0", "1,2,-inf", "NaN,2,1"])
+    def test_non_finite_rejected(self, tmp_path, row):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x1,x2,y\n{row}\n0.5,-2,1\n")
+        with pytest.raises(DomainError):
             load_csv(p)
 
 

@@ -20,8 +20,7 @@ def gram_reference(A, w, cols, rows):
 @pytest.mark.parametrize(
     "case", ["row_subset", "all_rows", "zero_weights", "all_columns", "single_column"])
 def test_gram_numpy_matches_reference(case, gen):
-    # more rows than one GRAM_ROWS chunk, so the chunked accumulation is exercised
-    m, N = 2 * kernels.GRAM_ROWS + 37, 25
+    m, N = 549, 25
     A = gen.standard_normal((m, N))
     A_before = A.copy()
     w = np.abs(gen.standard_normal(m))

@@ -26,7 +26,15 @@ from sigma_opt.errors import (
     MissingNewtonDecrement,
     OutOfDomain,
 )
-from sigma_opt.solver import ALWAYS_COARSE, COARSE, EUCLIDEAN_PROXY, FINE, FULL_DECREMENT, NU_ONLY
+from sigma_opt.solver import (
+    ALWAYS_COARSE,
+    COARSE,
+    EUCLIDEAN_PROXY,
+    EXACT_MARGINS_EVERY,
+    FINE,
+    FULL_DECREMENT,
+    NU_ONLY,
+)
 
 
 def one_dim_quadratic():
@@ -399,6 +407,21 @@ class TestSelfConcordantBehavior:
         assert checked >= 8
 
 
+def test_singular_reduced_block_converges_without_ascent():
+    # a duplicated and an all-zero column with no l2 term make every reduced
+    # block that samples them singular; the Cholesky shift must carry the run
+    gen = np.random.default_rng(0)
+    A = gen.standard_normal((80, 12))
+    b = np.where(A @ gen.standard_normal(12) + 2.0 * gen.standard_normal(80) > 0, 1.0, -1.0)
+    A[:, 4] = A[:, 1]
+    A[:, 7] = 0.0
+    model = make_objective("logistic", Dataset(A, b), Regularization(xi2=0.0))
+    res = sigma_solve(model, np.zeros(12), SigmaConfig(n=6, epsilon=1e-12, max_iter=500, seed=0))
+    assert res.status == "converged"
+    fs = [r.f for r in res.trace]
+    assert all(b <= a for a, b in zip(fs, fs[1:]))
+
+
 def test_timeout_status(gen):
     model = random_gaussian_model(gen, m=40, N=20)
     cfg = SigmaConfig(n=2, epsilon=1e-16, max_iter=10**6, max_seconds=0.05, seed=1)
@@ -410,11 +433,11 @@ SOLVERS = ("sigma", "gd", "sgd", "newton", "subnewton", "newsamp")
 
 
 def _count_passes(monkeypatch):
-    """A list that gets one entry per ``predict`` or ``gradient`` call."""
+    """A list that gets the method name of each ``predict`` or ``gradient`` call."""
     calls = []
     for name in ("predict", "gradient"):
-        def counted(self, *args, _orig=getattr(ObjectiveModel, name), **kwargs):
-            calls.append(_orig)
+        def counted(self, *args, _orig=getattr(ObjectiveModel, name), _name=name, **kwargs):
+            calls.append(_name)
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(ObjectiveModel, name, counted)
@@ -426,9 +449,11 @@ def _count_passes(monkeypatch):
     for kind in ("logistic", "poisson") for solver in SOLVERS
 ])
 def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch):
-    # every iterate is evaluated once: one A x (predict) and one A^T w
-    # (gradient); the baselines' dense steps add one A d each (SGD's only on
-    # Poisson, for its domain check)
+    # every iterate is evaluated once, with one A^T w (gradient); its A x is
+    # carried along the step from the A d the step search formed (predict
+    # for the baselines' dense steps, none for SIGMA's sampled columns), or
+    # formed by predict on the first iterate and where no A d was formed
+    # (SGD off Poisson)
     if kind == "logistic":
         model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
     else:
@@ -436,14 +461,49 @@ def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch)
     calls = _count_passes(monkeypatch)
     if solver == "sigma":
         res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-14, max_iter=25, seed=2))
-        per_iterate = 2
     else:
         res = baseline_solve(model, x0, BaselineConfig(method=solver, epsilon=1e-14, max_iter=25,
                                                        sgd_t=1e-5, seed=2))
-        per_iterate = 3
     # Newton converges in a few steps; one extra pass each would still show
     assert res.iterations >= (4 if solver == "newton" else 10)
-    assert len(calls) <= per_iterate * (res.iterations + 1)
+    assert len(calls) <= 2 * (res.iterations + 1)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "poisson"])
+def test_sigma_forms_a_x_once_per_refresh_period(kind, gen, monkeypatch):
+    if kind == "logistic":
+        model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
+    else:
+        model, x0 = positive_poisson_instance(m=80, N=20)
+    calls = _count_passes(monkeypatch)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=80, seed=2))
+    assert res.iterations > 2 * EXACT_MARGINS_EVERY
+    assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1
+    assert calls.count("gradient") == res.iterations + 1
+
+
+def test_carried_margins_track_a_x(monkeypatch):
+    # Poisson, whose domain test reads the margins, over three refresh periods
+    model, x0 = positive_poisson_instance(m=80, N=20)
+    A = model.dataset.A
+    seen = []
+
+    def recorded(self, x, z=None, _orig=ObjectiveModel.point):
+        point = _orig(self, x, z)
+        seen.append((x.copy(), point.z.copy()))
+        return point
+
+    monkeypatch.setattr(ObjectiveModel, "point", recorded)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=100, seed=4))
+    assert res.iterations >= 3 * EXACT_MARGINS_EVERY
+    assert len(seen) == res.iterations + 1
+    eps = np.finfo(np.float64).eps
+    for k, (x, z) in enumerate(seen):
+        exact = model.predict(x)
+        if k % EXACT_MARGINS_EVERY == 0:
+            assert np.array_equal(z, exact)
+        assert np.all(np.abs(z - exact) <= 64 * eps * (np.abs(A) @ np.abs(x)))
+        assert float(z.min()) > 0.0
 
 
 def test_sgd_poisson_halving_forms_a_d_once(monkeypatch):
