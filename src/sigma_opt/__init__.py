@@ -5,11 +5,9 @@ benchmark CLI."""
 from .baselines import BaselineConfig, baseline_solve, newsamp_hessian
 from .coarse import (
     CoarseOperator,
-    Decrements,
     GalerkinSystem,
     build_operator,
     coarse_direction,
-    decrements,
     full_operator,
     galerkin_system,
     newton_direction,
@@ -65,7 +63,6 @@ __all__ = [
     "BaselineConfig",
     "CoarseOperator",
     "Dataset",
-    "Decrements",
     "DomainStatus",
     "DECREMENT_SQ_LIMIT",
     "GalerkinSystem",
@@ -82,7 +79,6 @@ __all__ = [
     "build_operator",
     "coarse_direction",
     "damped_initial_step",
-    "decrements",
     "direction_select",
     "eta_region",
     "feasible_start",

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .coarse import newton_direction
 from .core import sample_without_replacement, spd_solve
-from .errors import InvalidDimensions, NotPositiveDefinite, OutOfDomain
+from .errors import InvalidDimensions, NotPositiveDefinite
 from .objectives import ObjectiveModel
 from .rng import RngState
 from .solver import (  # noqa: F401  perfbench/tracer.py looks up armijo_search here
@@ -143,7 +143,6 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
 def _batch_gradient(model: ObjectiveModel, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
     A = model.dataset.A[batch]
     z = A @ x
-    if model.kind == "poisson" and float(z.min()) <= 0:
-        raise OutOfDomain("batch rows left the Poisson domain")
+    model._check_domain(z)
     _, w1, _ = kernels.glm_terms(model.kind, z, model.dataset.b[batch])
     return model._row_coeff(batch.shape[0]) * (A.T @ w1) + model.reg.grad(x)

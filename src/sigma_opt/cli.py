@@ -114,6 +114,8 @@ def _merge_config(ctx, defaults: dict, config_path) -> dict:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh) or {}
+        if not isinstance(loaded, dict):
+            raise click.ClickException("config file must be a YAML mapping")
         unknown = set(loaded) - set(defaults) - {"solvers", "p_list"}
         if unknown:
             raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
@@ -130,6 +132,15 @@ _DATASET_KEYS = ("data", "label_column", "n_features", "standardize", "m", "N", 
                  "labels", "model", "noise", "seed")
 
 
+def _synthetic(m, N, p, gap, labels, noise, seed):
+    """``(spec, A, b, x_true)`` of the generator; the labels draw from ``seed + 1``."""
+    spec = data_mod.SvdGapSpec(m=m, N=N, p=p, gap=gap, seed=seed)
+    lspec = data_mod.LabelSpec(kind=labels, sigma_noise=noise, seed=seed + 1)
+    A = data_mod.svd_gap_matrix(spec, RngState(spec.seed))
+    b, x_true = data_mod.synth_labels(A, lspec, RngState(lspec.seed))
+    return spec, A, b, x_true
+
+
 def _build_dataset(p: dict):
     """Returns (Dataset, x_true or None, data_meta dict)."""
     src = p["data"]
@@ -137,10 +148,8 @@ def _build_dataset(p: dict):
         raise click.ClickException("--data is required (a file path or 'synthetic')")
     if src == "synthetic":
         label_kind = p["labels"] or p["model"]
-        spec = data_mod.SvdGapSpec(m=p["m"], N=p["N"], p=p["p"], gap=p["gap"], seed=p["seed"])
-        lspec = data_mod.LabelSpec(kind=label_kind, sigma_noise=p["noise"], seed=p["seed"] + 1)
-        A = data_mod.svd_gap_matrix(spec, RngState(spec.seed))
-        b, x_true = data_mod.synth_labels(A, lspec, RngState(lspec.seed))
+        spec, A, b, x_true = _synthetic(p["m"], p["N"], p["p"], p["gap"], label_kind, p["noise"],
+                                        p["seed"])
         meta = {"source": "synthetic", "m": spec.m, "N": spec.N, "p": spec.p,
                 "gap": spec.gap, "labels": label_kind, "noise": p["noise"]}
         ds = Dataset(A, b)
@@ -389,10 +398,7 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
 def datagen(m, N, p, gap, labels, noise, seed, out, **_kwargs):
     """Generate a synthetic dataset; writes <out>/data.libsvm and meta.json."""
     try:
-        spec = data_mod.SvdGapSpec(m=m, N=N, p=p, gap=gap, seed=seed)
-        lspec = data_mod.LabelSpec(kind=labels, sigma_noise=noise, seed=seed + 1)
-        A = data_mod.svd_gap_matrix(spec, RngState(spec.seed))
-        b, x_true = data_mod.synth_labels(A, lspec, RngState(lspec.seed))
+        spec, A, b, x_true = _synthetic(m, N, p, gap, labels, noise, seed)
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
     out = Path(out)

@@ -8,7 +8,7 @@ the Hessian, assembled without forming the N x N matrix.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +43,6 @@ class GalerkinSystem:
 
     q: np.ndarray
     g: np.ndarray
-
-
-@dataclass(frozen=True)
-class Decrements:
-    """Approximate decrement, plus the Newton decrement when it was requested."""
-
-    lambda_hat: float
-    lam: Optional[float] = None
 
 
 class CoarseStep(NamedTuple):
@@ -143,17 +135,3 @@ def nystrom_approximation(H: np.ndarray, op: CoarseOperator) -> np.ndarray:
     Hn = C @ spd_solve(W, C.T)
     return 0.5 * (Hn + Hn.T)
 
-
-def decrements(
-    model: ObjectiveModel,
-    x: np.ndarray,
-    op: CoarseOperator,
-    row_sample: np.ndarray | None = None,
-    want_newton: bool = False,
-) -> Decrements:
-    """Approximate decrement from the coarse path; the Newton decrement only on
-    request (it costs a dense factorization)."""
-    point = model.point(x)
-    step = coarse_direction(galerkin_system(model, x, op, row_sample, point=point), op)
-    lam = newton_direction(model, x, point=point).lam if want_newton else None
-    return Decrements(lambda_hat=step.lambda_hat, lam=lam)

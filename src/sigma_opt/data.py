@@ -12,7 +12,6 @@ synthesized per model family from a hidden ground-truth weight vector.
 
 import csv as _csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -330,7 +329,3 @@ def dataset_meta(A: np.ndarray, spec: SvdGapSpec) -> dict:
         "prescribed_singular_values": singular_value_bands(spec).tolist(),
         "realized_singular_values": realized.tolist(),
     }
-
-
-def ensure_parent(path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -80,25 +80,25 @@ def set_num_threads(n: int) -> None:
         put(min(n, get()))
 
 
-def _gaussian_terms(z, b):
+def _gaussian(z, b):
     r = z - b
     return 0.5 * float(r @ r), r, np.ones_like(z)
 
 
-def _logistic_terms(z, b):
+def _logistic(z, b):
     t = b * z
     loss = float(np.sum(np.logaddexp(0.0, -t)))
     s = expit(-t)
     return loss, -b * s, s * (1.0 - s)
 
 
-def _poisson_terms(z, b):
+def _poisson(z, b):
     # caller guarantees z > 0
     loss = float(np.sum(z - b * np.log(z)))
     return loss, 1.0 - b / z, b / (z * z)
 
 
-_TERMS = {"gaussian": _gaussian_terms, "logistic": _logistic_terms, "poisson": _poisson_terms}
+_TERMS = {"gaussian": _gaussian, "logistic": _logistic, "poisson": _poisson}
 
 
 def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):

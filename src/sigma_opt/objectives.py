@@ -113,12 +113,12 @@ class DomainStatus:
 
 @dataclass(frozen=True)
 class Point:
-    """The model evaluated once at an iterate ``x``.
+    """The model evaluated once at an iterate ``x``: the margins ``z = A x``
+    (formed, or carried by the caller), the objective ``f``, the full gradient
+    ``g`` and the curvature row weights ``w2``, nonnegative for all three GLMs.
 
-    The margins ``z = A x`` (formed, or carried by the caller), the objective
-    ``f`` and full gradient ``g`` (bit-identical to ``evaluate(x)`` and
-    ``gradient(x)`` when ``z`` was formed), and the curvature row weights
-    ``w2``, which are nonnegative for all three GLMs.
+    :meth:`ObjectiveModel.point` is the only evaluation of the loss; the other
+    oracles read its fields.
     """
 
     z: np.ndarray
@@ -181,47 +181,36 @@ class ObjectiveModel:
 
     # -- oracles -----------------------------------------------------------
 
-    def _terms(self, x: np.ndarray, z: np.ndarray | None = None):
-        if z is None:
-            z = self.predict(x)
-        self._check_domain(z)
-        return z, kernels.glm_terms(self.kind, z, self.dataset.b)
-
     def point(self, x: np.ndarray, z: np.ndarray | None = None) -> Point:
         """Evaluate ``x`` once: one pass of the GLM terms and one ``A^T w``.
 
         ``z``, ``A x`` carried by the caller, skips forming it. Raises
         :class:`OutOfDomain` on infeasible Poisson iterates.
         """
-        z, (loss, w1, w2) = self._terms(x, z)
+        if z is None:
+            z = self.predict(x)
+        self._check_domain(z)
+        loss, w1, w2 = kernels.glm_terms(self.kind, z, self.dataset.b)
         f = self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
         return Point(z=z, f=f, g=self.gradient(x, w1=w1), w2=w2)
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Objective value. Raises :class:`OutOfDomain` on infeasible Poisson iterates."""
-        _, (loss, _, _) = self._terms(x)
-        return self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
+        """Objective value, ``point(x).f``. Raises :class:`OutOfDomain` on
+        infeasible Poisson iterates."""
+        return self.point(x).f
 
     def gradient(self, x: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
-        """Full gradient; ``w1``, the first-derivative row weights at ``x``, skips forming ``A x``."""
+        """Full gradient: ``A^T w1`` plus the regularizer's, from the
+        first-derivative row weights ``w1`` at ``x``; ``point(x).g`` without them."""
         if w1 is None:
-            _, (_, w1, _) = self._terms(x)
+            return self.point(x).g
         return self._row_coeff(self.dataset.m) * (self.dataset.A.T @ w1) + self.reg.grad(x)
 
     def hessian(self, x: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
         """Dense N x N Hessian, exactly symmetric; intended for N small enough to
-        materialize. The data term is one :func:`kernels.gram_gather` syrk.
-
-        ``w2``, the curvature row weights at ``x``, skips forming ``A x``.
-        """
-        if w2 is None:
-            _, (_, _, w2) = self._terms(x)
-        m, N = self.dataset.m, self.dataset.N
-        h = self._row_coeff(m) * kernels.gram_gather(
-            self.dataset.A, w2, np.arange(N, dtype=np.int64), np.arange(m, dtype=np.int64))
-        d = self.reg.hess_diag(x)
-        h[np.diag_indices_from(h)] += d
-        return h
+        materialize. It is :meth:`reduced_hessian` over every column and row."""
+        return self.reduced_hessian(x, np.arange(self.dataset.N, dtype=np.int64), w2=w2,
+                                    checked=True)
 
     def reduced_gradient(self, x: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Gradient restricted to the coordinate set ``S`` (exact slice)."""
@@ -241,9 +230,10 @@ class ObjectiveModel:
 
         With ``row_sample`` given, the data term is the reweighted sum over the
         sampled rows (full rows reproduce the exact block). Never forms the
-        N x N Hessian. ``w2``, the curvature row weights at ``x``, skips forming
-        ``A x``. ``checked=True`` says the caller has already validated ``S``
-        (a :class:`~sigma_opt.coarse.CoarseOperator` does so on construction).
+        N x N Hessian. ``w2`` is the curvature row weights at ``x``, taken from
+        ``point(x)`` when not given. ``checked=True`` says the caller has
+        already validated ``S`` (a :class:`~sigma_opt.coarse.CoarseOperator`
+        does so on construction).
         """
         if not checked:
             S = _check_index_set(S, self.dataset.N)
@@ -252,7 +242,7 @@ class ObjectiveModel:
         else:
             rows = _check_index_set(row_sample, self.dataset.m)
         if w2 is None:
-            _, (_, _, w2) = self._terms(x)
+            w2 = self.point(x).w2
         q = self._row_coeff(rows.shape[0]) * kernels.gram_gather(self.dataset.A, w2, S, rows)
         d = self.reg.hess_diag(x[S])
         q[np.diag_indices_from(q)] += d
@@ -263,7 +253,7 @@ class Ray:
     """The objective restricted to ``x + t d``, with stable differences.
 
     ``delta(t)`` returns ``f(x + t d) - f(x)`` computed without subtracting
-    large near-equal values, so line searches keep resolving decrements far
+    large near-equal values, so line searches keep resolving decreases far
     below the rounding noise of the absolute objective value. Each call is
     O(m + N). ``z = A x`` and ``dz = A d`` are formed at construction unless
     the caller passes them.
@@ -276,8 +266,7 @@ class Ray:
         self.d = d
         self.z = model.predict(x) if z is None else z
         self.dz = model.predict(d) if dz is None else dz
-        if model.kind == POISSON and float(self.z.min()) <= 0.0:
-            raise OutOfDomain("ray base point is infeasible")
+        model._check_domain(self.z)
         if model.kind == GAUSSIAN:
             r = self.z - model.dataset.b
             self._s1 = float(self.dz @ r)

@@ -8,11 +8,12 @@ system for the coarse direction, and optionally falls back to the full Newton
 One driver, :func:`drive`, runs the iterations of SIGMA and of every baseline;
 a solver only supplies a direction function. The driver evaluates each iterate
 once (:meth:`ObjectiveModel.point` at margins ``A x`` carried along the steps),
-records the trace row, applies the stop tests, picks the step length and
-updates. The Newton-type steps are globalized by an Armijo backtracking search
-from the unit step. Self-concordance guarantees the damped step ``1/(1 + decrement)``
-always passes the descent test, so the search never returns less than
-``beta`` times that value. For the Poisson model the search instead starts
+records the trace row, applies the stop tests, picks the step length on one
+:class:`Ray` along the direction and updates. The Newton-type steps are
+globalized by an Armijo backtracking search from the unit step.
+Self-concordance guarantees the damped step ``1/(1 + decrement)`` always
+passes the descent test, so the search never returns less than ``beta``
+times that value. For the Poisson model the search instead starts
 from the damped step grown while the trial point stays inside the open domain.
 
 The run stops when the squared decrement of the computed direction falls to
@@ -40,7 +41,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
 )
-from .objectives import POISSON, ObjectiveModel, Point, Ray
+from .objectives import ObjectiveModel, Point, Ray
 from .rng import RngState
 
 COARSE = "coarse"
@@ -171,7 +172,7 @@ class Direction(NamedTuple):
     label: str
     rule: str = DAMPED  # how the step length is picked: DAMPED, UNIT or SCHEDULED
     t0: float = 1.0  # the SCHEDULED step
-    dz: Optional[np.ndarray] = None  # A d, when the direction already has it
+    dz: Optional[np.ndarray] = None  # A d if the direction has it; else the Ray forms it
 
 
 def damped_initial_step(lam_hat: float) -> float:
@@ -220,29 +221,19 @@ def direction_select(
     return COARSE if (lam_hat > cfg.mu * lam and lam_hat > cfg.nu) else FINE
 
 
-def armijo_search(
-    model: ObjectiveModel,
-    x: np.ndarray,
-    d: np.ndarray,
-    dir_deriv: float,
-    t0: float,
-    alpha: float,
-    beta: float,
-    ray: Optional[Ray] = None,
-) -> tuple[float, int]:
-    """Backtrack from ``t0`` until ``f(x + t d) <= f(x) + alpha t dir_deriv``.
+def armijo_search(ray: Ray, dir_deriv: float, t0: float, alpha: float,
+                  beta: float) -> tuple[float, int]:
+    """Backtrack from ``t0`` until ``f(x + t d) <= f(x) + alpha t dir_deriv``
+    along ``ray``, the objective restricted to ``x + t d``.
 
     The descent test is evaluated through the ray's stable difference
-    ``f(x + t d) - f(x)``, so it keeps resolving decrements far below the
+    ``f(x + t d) - f(x)``, so it keeps resolving decreases far below the
     rounding noise of the absolute objective value. Candidate points outside
     the objective's domain are rejected like failed descent tests. Fails after
     60 reductions, which signals a non-descent direction or a domain pathology.
-    ``ray`` is ``Ray(model, x, d)`` when the caller already has it.
     """
     if not dir_deriv < 0:
         raise LineSearchFailed(f"directional derivative must be negative, got {dir_deriv}")
-    if ray is None:
-        ray = Ray(model, x, d)
     t = t0
     for backtracks in range(61):
         try:
@@ -254,77 +245,47 @@ def armijo_search(
     raise LineSearchFailed("no acceptable step after 60 reductions")
 
 
-def poisson_feasible_step(
-    model: ObjectiveModel,
-    x: np.ndarray,
-    d: np.ndarray,
-    lam_hat: float,
-    zeta: float,
-    ray: Optional[Ray] = None,
-) -> float:
-    """Initial step for the Poisson model: start at the damped step, grow by
-    ``zeta`` while the trial point stays feasible, and cap at 1.
-
-    If the damped start itself is infeasible it is halved first (the damped
-    value comes from a curvature bound, not from feasibility). The returned
-    ``t`` is feasible and zeta-maximal: either ``t == 1`` or ``zeta * t`` leaves
-    the domain. ``ray`` is ``Ray(model, x, d)`` when the caller already has it.
-    Raises :class:`DomainError` unless ``zeta > 1``, without which the growth
-    loop would never end.
-    """
-    if not zeta > 1.0:
-        raise DomainError(f"zeta must be > 1, got {zeta}")
-    feasible = (ray if ray is not None else Ray(model, x, d)).feasible
-    t = damped_initial_step(lam_hat)
-    for _ in range(200):
-        if feasible(t):
-            break
-        t *= 0.5
-    else:
-        # x itself is feasible, so some positive step always exists; keep the
-        # floor value and let the Armijo search reject it if needed.
-        return t
-    while t < 1.0 and feasible(zeta * t):
-        t *= zeta
-    return min(t, 1.0)
-
-
-def _initial_step(ray: Ray, decrement: float, zeta: float) -> float:
-    # Classic backtracking starts at the unit step; self-concordance guarantees
-    # the search never falls below beta * 1/(1 + decrement). On the Poisson
-    # domain the start instead grows from the damped step while feasible.
-    if ray.model.kind == POISSON:
-        return poisson_feasible_step(ray.model, ray.x, ray.d, decrement, zeta, ray=ray)
-    return 1.0
-
-
-def _scheduled_step(model: ObjectiveModel, x: np.ndarray, point: Point, d: np.ndarray,
-                    t: float) -> tuple[float, Optional[np.ndarray]]:
-    # no line search: halve a fixed-schedule step until back inside the
-    # domain; on Poisson A d is formed once and each trial costs O(m)
-    if model.kind != POISSON:
-        return t, None
-    ray = Ray(model, x, d, z=point.z)
+def _halve_until_feasible(ray: Ray, t: float) -> float:
+    # x itself is feasible, so some positive step always exists; after 200
+    # halvings keep the floor value and let the Armijo search reject it
     for _ in range(200):
         if ray.feasible(t):
             break
         t *= 0.5
-    return t, ray.dz
+    return t
 
 
-def _step_length(model: ObjectiveModel, x, point, step: Direction, cfg: SolveConfig):
-    """``(t, backtracks, A d)`` along ``step.d`` by the direction's rule;
-    ``A d`` is None when the rule never formed it."""
+def poisson_feasible_step(ray: Ray, lam_hat: float, zeta: float) -> float:
+    """Initial step along ``ray``: start at the damped step, grow by ``zeta``
+    while the trial point stays feasible, and cap at 1.
+
+    If the damped start itself is infeasible it is halved first (the damped
+    value comes from a curvature bound, not from feasibility). The returned
+    ``t`` is feasible and zeta-maximal: either ``t == 1`` or ``zeta * t`` leaves
+    the domain. Only the Poisson domain is bounded; on the other GLMs every
+    step is feasible and the result is exactly 1. Raises :class:`DomainError`
+    unless ``zeta > 1``, without which the growth loop would never end.
+    """
+    if not zeta > 1.0:
+        raise DomainError(f"zeta must be > 1, got {zeta}")
+    t = _halve_until_feasible(ray, damped_initial_step(lam_hat))
+    # the domain is an interval around 0, so an infeasible t never grows; a
+    # zero t (infinite decrement) would grow forever
+    while 0.0 < t < 1.0 and ray.feasible(zeta * t):
+        t *= zeta
+    return min(t, 1.0)
+
+
+def _step_length(ray: Ray, point: Point, step: Direction, cfg: SolveConfig) -> tuple[float, int]:
+    """``(t, backtracks)`` along ``ray`` by the direction's rule."""
     if step.rule == SCHEDULED:
-        t, dz = _scheduled_step(model, x, point, step.d, step.t0)
-        return t, 0, dz
-    ray = Ray(model, x, step.d, z=point.z, dz=step.dz)
+        # no line search: halve the direction's own step until feasible
+        return _halve_until_feasible(ray, step.t0), 0
     # sqrt(v * v) == v exactly in binary floating point unless v * v
     # underflows, so a direction that squared its decrement gets it back
-    t0 = 1.0 if step.rule == UNIT else _initial_step(ray, float(np.sqrt(step.dec_sq)), cfg.zeta)
-    t, backtracks = armijo_search(model, x, step.d, float(point.g @ step.d), t0, cfg.alpha,
-                                  cfg.beta, ray=ray)
-    return t, backtracks, ray.dz
+    t0 = 1.0 if step.rule == UNIT else poisson_feasible_step(
+        ray, float(np.sqrt(step.dec_sq)), cfg.zeta)
+    return armijo_search(ray, float(point.g @ step.d), t0, cfg.alpha, cfg.beta)
 
 
 def drive(
@@ -337,12 +298,14 @@ def drive(
     """The solve loop of SIGMA and of every baseline.
 
     ``direction(x, point, k)`` returns the :class:`Direction` at iterate ``k``,
-    where ``point`` is ``model.point(x, z)``. ``z`` is the previous
-    ``point.z + t * dz``, with ``dz`` the ``A d`` the step search used (and
-    tested Poisson feasibility with), or ``A x`` formed exactly at every
-    ``EXACT_MARGINS_EVERY``-th iterate and after a step that formed no
-    ``A d``. If it raises :class:`NotPositiveDefinite` the run ends with
-    ``status == "error"`` and a last trace row labelled ``error_label``. The
+    where ``point`` is ``model.point(x, z)``, the only evaluation of the
+    iterate. Each step then builds one :class:`Ray` along the direction,
+    which every step rule searches on. ``z`` is the previous
+    ``point.z + t * ray.dz``, with ``ray.dz`` the ``A d`` the direction
+    supplied or the ray formed, or ``A x`` formed exactly at every
+    ``EXACT_MARGINS_EVERY``-th iterate. If ``direction`` raises
+    :class:`NotPositiveDefinite` the run ends with ``status == "error"``
+    and a last trace row labelled ``error_label``. The
     trace has one row per iterate including the starting point; row ``k``
     holds the objective, gradient norm (of ``point.g``) and decrement at
     iterate ``k`` together with the step length taken from it (0 on the
@@ -378,12 +341,13 @@ def drive(
         if elapsed > cfg.max_seconds:
             result.status = TIMEOUT
             break
-        record.step, record.backtracks, dz = _step_length(model, x, point, step, cfg)
+        ray = Ray(model, x, step.d, z=point.z, dz=step.dz)
+        record.step, record.backtracks = _step_length(ray, point, step, cfg)
         x = x + record.step * step.d
         k += 1
-        z = None if dz is None or k % EXACT_MARGINS_EVERY == 0 else point.z + record.step * dz
+        z = None if k % EXACT_MARGINS_EVERY == 0 else point.z + record.step * ray.dz
         # this iterate's arrays go before the next one is evaluated
-        del point, step, dz
+        del point, step, ray
 
     result.x_final = x
     result.final_decrement_sq = step.dec_sq
@@ -420,10 +384,10 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
             # A d from the sampled columns in O(m n), a contiguous gather
             d, decrement = step.d_hat, step.lambda_hat
             dz = model.dataset.A[:, op.indices] @ step.d_coarse
-        else:
+        else:  # the step's Ray forms A d
             if d_fine is None:
                 d_fine, lam = newton_direction(model, x, point=point)
-            d, decrement, dz = d_fine, lam, model.predict(d_fine)
+            d, decrement, dz = d_fine, lam, None
         return Direction(d, decrement * decrement, step.lambda_hat, lam, chosen, dz=dz)
 
     return drive(model, x0, cfg, direction, error_label=COARSE)

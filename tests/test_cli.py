@@ -106,6 +106,15 @@ class TestSolve:
         assert res.exit_code == 1
         assert "bogus_key" in res.output
 
+    @pytest.mark.parametrize("text", ["5\n", "- m\n"])
+    def test_config_not_a_mapping_rejected(self, runner, tmp_path, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        res = runner.invoke(cli, ["solve", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "config file must be a YAML mapping" in res.output
+        assert "Traceback" not in res.output
+
     def test_poisson_synthetic(self, runner, tmp_path):
         res = runner.invoke(
             cli,
@@ -296,6 +305,28 @@ class TestDatagen:
              "--out", str(tmp_path / "run")],
         )
         assert res.exit_code == 0, res.output
+
+    def test_same_data_as_solve_synthetic(self, runner, tmp_path, monkeypatch):
+        from sigma_opt import cli as cli_mod
+
+        flags = ["--m", "40", "--N", "16", "--p", "4", "--gap", "50", "--labels", "logistic",
+                 "--noise", "0.05", "--seed", "6"]
+        res = runner.invoke(cli, ["datagen", *flags, "--out", str(tmp_path / "ds")])
+        assert res.exit_code == 0, res.output
+        built = []
+
+        def recorded(p, _orig=cli_mod._build_dataset):
+            built.append(_orig(p))
+            return built[-1]
+
+        monkeypatch.setattr(cli_mod, "_build_dataset", recorded)
+        res = runner.invoke(cli, ["solve", "--model", "logistic", "--data", "synthetic", *flags,
+                                  "--max-iter", "1", "--out", str(tmp_path / "run")])
+        assert res.exit_code in (0, 2), res.output
+        (ds, _, _), = built
+        written = load_libsvm(tmp_path / "ds" / "data.libsvm", n_features=16)
+        assert np.array_equal(written.A, ds.A)
+        assert np.array_equal(written.b, ds.b)
 
 
 # Inherited BLAS thread counts would stand in for the effect of SIGMA_OPT_THREADS.

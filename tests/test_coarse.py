@@ -12,7 +12,6 @@ from sigma_opt import (
     SigmaConfig,
     build_operator,
     coarse_direction,
-    decrements,
     full_operator,
     galerkin_system,
     make_objective,
@@ -110,9 +109,9 @@ class TestGalerkinSystem:
         op = CoarseOperator(np.array([0, 2], dtype=np.int64), 4)
         steps = []
 
-        def recorded(model, x, point, step, cfg, _orig=solver._step_length):
+        def recorded(ray, point, step, cfg, _orig=solver._step_length):
             steps.append(step)
-            return _orig(model, x, point, step, cfg)
+            return _orig(ray, point, step, cfg)
 
         monkeypatch.setattr(solver, "_step_length", recorded)
         for layout in (np.ascontiguousarray, np.asfortranarray):
@@ -235,34 +234,26 @@ class TestNystrom:
 
 
 class TestDecrements:
+    # the coarse and Newton decrements of one evaluated point; dominance
+    # lambda_hat <= lambda is acceptance c01
+
     def test_full_operator_equality(self, gen):
         model = random_logistic_model(gen, m=15, N=6)
         x = gen.standard_normal(6)
-        d = decrements(model, x, full_operator(6), want_newton=True)
-        assert d.lam is not None
-        assert d.lambda_hat == pytest.approx(d.lam, rel=1e-9, abs=1e-12)
+        point = model.point(x)
+        op = full_operator(6)
+        lam_hat = coarse_direction(galerkin_system(model, x, op, point=point), op).lambda_hat
+        lam = newton_direction(model, x, point=point).lam
+        assert lam_hat == pytest.approx(lam, rel=1e-9, abs=1e-12)
 
     def test_zero_at_minimizer(self, gen):
         A = gen.standard_normal((12, 4))
         b = gen.standard_normal(12)
         model = make_objective("gaussian", Dataset(A, b))
         x_star = np.linalg.solve(A.T @ A, A.T @ b)
-        d = decrements(model, x_star, full_operator(4), want_newton=True)
-        assert d.lambda_hat <= 1e-6 and d.lam <= 1e-6
-
-    def test_newton_skipped_by_default(self, gen):
-        model = random_gaussian_model(gen, m=10, N=5)
-        d = decrements(model, gen.standard_normal(5), full_operator(5))
-        assert d.lam is None
-
-    def test_dominance(self, gen):
-        model = random_gaussian_model(gen, m=30, N=10, reg=Regularization(xi2=1e-3))
-        rng = RngState(8)
-        for _ in range(50):
-            x = gen.standard_normal(10)
-            op = build_operator(10, int(rng.child().integers(1, 10)), rng)
-            d = decrements(model, x, op, want_newton=True)
-            assert d.lambda_hat <= d.lam + 1e-10
+        op = full_operator(4)
+        assert coarse_direction(galerkin_system(model, x_star, op), op).lambda_hat <= 1e-6
+        assert newton_direction(model, x_star).lam <= 1e-6
 
 
 class TestNormIdentity:

@@ -26,6 +26,7 @@ from sigma_opt.errors import (
     MissingNewtonDecrement,
     OutOfDomain,
 )
+from sigma_opt.objectives import Ray
 from sigma_opt.solver import (
     ALWAYS_COARSE,
     COARSE,
@@ -154,14 +155,14 @@ class TestArmijo:
     def test_hand_example_unit_step(self):
         model = one_dim_quadratic()
         t, backtracks = armijo_search(
-            model, np.array([2.0]), np.array([-2.0]), dir_deriv=-4.0, t0=1.0, alpha=0.25, beta=0.5
-        )
+            Ray(model, np.array([2.0]), np.array([-2.0])), dir_deriv=-4.0, t0=1.0, alpha=0.25,
+            beta=0.5)
         assert t == 1.0 and backtracks == 0
 
     def test_non_descent_rejected(self):
         model = one_dim_quadratic()
         with pytest.raises(LineSearchFailed):
-            armijo_search(model, np.array([2.0]), np.array([2.0]), 4.0, 1.0, 0.25, 0.5)
+            armijo_search(Ray(model, np.array([2.0]), np.array([2.0])), 4.0, 1.0, 0.25, 0.5)
 
     def test_poisson_boundary_caps_step(self):
         # descent toward the domain wall: margin 4 - 8t forces t < 0.5
@@ -169,7 +170,7 @@ class TestArmijo:
         x, d = np.array([4.0]), np.array([-8.0])
         g = model.gradient(x)
         assert float(g @ d) < 0
-        t, _ = armijo_search(model, x, d, float(g @ d), t0=1.0, alpha=0.25, beta=0.5)
+        t, _ = armijo_search(Ray(model, x, d), float(g @ d), t0=1.0, alpha=0.25, beta=0.5)
         assert t < 0.5
         assert model.domain_status(x + t * d).feasible
 
@@ -179,7 +180,7 @@ class TestArmijo:
             x = gen.standard_normal(6)
             g = model.gradient(x)
             d = -g
-            t, _ = armijo_search(model, x, d, float(g @ d), 1.0, 0.25, 0.5)
+            t, _ = armijo_search(Ray(model, x, d), float(g @ d), 1.0, 0.25, 0.5)
             assert model.evaluate(x + t * d) <= model.evaluate(x) + 0.25 * t * float(g @ d) + 1e-12
 
 
@@ -190,7 +191,7 @@ class TestArmijo:
         x, d = np.array([40.0]), np.array([-340.0])
         assert model.evaluate(x + d) > model.evaluate(x)
         g = model.gradient(x)
-        t, _ = armijo_search(model, x, d, float(g @ d), 1.0, 0.25, 0.5)
+        t, _ = armijo_search(Ray(model, x, d), float(g @ d), 1.0, 0.25, 0.5)
         assert t < 1.0
         assert model.evaluate(x + t * d) <= model.evaluate(x)
 
@@ -199,36 +200,49 @@ class TestPoissonFeasibleStep:
     def setup_method(self):
         self.model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
 
+    def ray(self, d):
+        return Ray(self.model, np.array([1.0]), np.array([d]))
+
     def test_inward_direction_caps_at_one(self):
-        t0 = poisson_feasible_step(self.model, np.array([1.0]), np.array([0.5]), 3.0, 2.0)
-        assert t0 == 1.0
+        assert poisson_feasible_step(self.ray(0.5), 3.0, 2.0) == 1.0
 
     def test_zero_direction(self):
-        t0 = poisson_feasible_step(self.model, np.array([1.0]), np.array([0.0]), 3.0, 2.0)
-        assert t0 == 1.0
+        assert poisson_feasible_step(self.ray(0.0), 3.0, 2.0) == 1.0
 
     def test_boundary_case(self):
         # feasibility requires t < 0.5
-        t0 = poisson_feasible_step(self.model, np.array([1.0]), np.array([-2.0]), 3.0, 2.0)
+        t0 = poisson_feasible_step(self.ray(-2.0), 3.0, 2.0)
         assert t0 < 0.5
         assert self.model.domain_status(np.array([1.0]) + t0 * np.array([-2.0])).feasible
 
     def test_zeta_maximal(self):
         x, d = np.array([1.0]), np.array([-2.0])
         for lam in (0.5, 1.0, 3.0):
-            t0 = poisson_feasible_step(self.model, x, d, lam, 2.0)
+            t0 = poisson_feasible_step(self.ray(-2.0), lam, 2.0)
             assert t0 == 1.0 or not self.model.domain_status(x + 2.0 * t0 * d).feasible
 
     def test_infeasible_start_halved(self):
         # damped start 1/(1+0.1) ~ 0.91 is infeasible; must shrink below 0.5
-        t0 = poisson_feasible_step(self.model, np.array([1.0]), np.array([-2.0]), 0.1, 2.0)
+        t0 = poisson_feasible_step(self.ray(-2.0), 0.1, 2.0)
         assert 0.0 < t0 < 0.5
 
     @pytest.mark.parametrize("zeta", [1.0, 0.5])
     def test_rejects_zeta_not_above_one(self, zeta):
         # the growth loop would never end: t * zeta <= t stays feasible
         with pytest.raises(DomainError):
-            poisson_feasible_step(self.model, np.array([1.0]), np.array([0.5]), 3.0, zeta)
+            poisson_feasible_step(self.ray(0.5), 3.0, zeta)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 40.0, np.inf])
+    def test_unit_step_off_the_poisson_domain(self, kind, lam, gen):
+        # only the Poisson domain is bounded; elsewhere the start is exactly 1,
+        # and an infinite decrement (damped step 0) still returns
+        A = gen.standard_normal((6, 3))
+        b = gen.standard_normal(6) if kind == "gaussian" else np.where(A[:, 0] > 0, 1.0, -1.0)
+        model = make_objective(kind, Dataset(A, b))
+        ray = Ray(model, gen.standard_normal(3), 1e6 * gen.standard_normal(3))
+        t0 = poisson_feasible_step(ray, lam, 2.0)
+        assert t0 == (1.0 if np.isfinite(lam) else 0.0)
 
 
 class TestSigmaSolve:
@@ -395,8 +409,9 @@ class TestSelfConcordantBehavior:
             if step.lambda_hat**2 <= 1e-14:
                 break
             g = model.gradient(x)
-            t0 = poisson_feasible_step(model, x, step.d_hat, step.lambda_hat, 2.0)
-            t, _bt = armijo_search(model, x, step.d_hat, float(g @ step.d_hat), t0, 0.25, 0.5)
+            ray = Ray(model, x, step.d_hat)
+            t0 = poisson_feasible_step(ray, step.lambda_hat, 2.0)
+            t, _bt = armijo_search(ray, float(g @ step.d_hat), t0, 0.25, 0.5)
             x_next = x + t * step.d_hat
             t_lam = t * step.lambda_hat
             if 0.0 < t_lam < 1.0:
@@ -450,10 +465,9 @@ def _count_passes(monkeypatch):
 ])
 def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch):
     # every iterate is evaluated once, with one A^T w (gradient); its A x is
-    # carried along the step from the A d the step search formed (predict
-    # for the baselines' dense steps, none for SIGMA's sampled columns), or
-    # formed by predict on the first iterate and where no A d was formed
-    # (SGD off Poisson)
+    # carried along the step from the A d of the step's ray (predict for the
+    # baselines' dense steps, none for SIGMA's sampled columns), or formed by
+    # predict on the refresh iterates 0, 32, 64, ...
     if kind == "logistic":
         model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
     else:
@@ -469,16 +483,34 @@ def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch)
     assert len(calls) <= 2 * (res.iterations + 1)
 
 
-@pytest.mark.parametrize("kind", ["logistic", "poisson"])
-def test_sigma_forms_a_x_once_per_refresh_period(kind, gen, monkeypatch):
+@pytest.mark.parametrize(("kind", "solver"), [
+    pytest.param("logistic", "sigma", id="logistic"),
+    pytest.param("poisson", "sigma", id="poisson"),
+    pytest.param("logistic", "sgd", id="logistic-sgd"),
+])
+def test_sigma_forms_a_x_once_per_refresh_period(kind, solver, gen, monkeypatch):
     if kind == "logistic":
         model, x0 = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3)), np.zeros(20)
     else:
         model, x0 = positive_poisson_instance(m=80, N=20)
     calls = _count_passes(monkeypatch)
-    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=80, seed=2))
+    formed = []  # per evaluated iterate: was A x formed (no carried margins)?
+
+    def recorded(self, x, z=None, _orig=ObjectiveModel.point):
+        formed.append(z is None)
+        return _orig(self, x, z)
+
+    monkeypatch.setattr(ObjectiveModel, "point", recorded)
+    if solver == "sigma":
+        res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=80, seed=2))
+    else:
+        res = baseline_solve(model, x0, BaselineConfig(method=solver, epsilon=1e-30, max_iter=80,
+                                                       seed=2))
     assert res.iterations > 2 * EXACT_MARGINS_EVERY
-    assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1
+    assert formed == [k % EXACT_MARGINS_EVERY == 0 for k in range(res.iterations + 1)]
+    if solver == "sigma":
+        # SIGMA's coarse steps take A d from the sampled columns, not from predict
+        assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1
     assert calls.count("gradient") == res.iterations + 1
 
 

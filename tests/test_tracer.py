@@ -1,0 +1,47 @@
+"""The contract between the package and the benchmark's span tracer.
+
+``perfbench/tracer.py`` wraps the attributes its ``SITES`` table names; a
+renamed or removed one would only show as a ``KeyError`` in a traced
+benchmark run. The tracer is imported from its file and never modified.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from helpers import positive_poisson_instance
+from sigma_opt import BaselineConfig, SigmaConfig, baseline_solve, feasible_start, sigma_solve
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_site_owner_has_its_attribute(tracing):
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing.SITES if attr not in vars(owner)]
+    assert not missing
+
+
+def test_solves_record_the_layer_spans(tracing):
+    model, _ = positive_poisson_instance(m=40, N=10)
+    x0 = feasible_start(model)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sigma = sigma_solve(model, x0, SigmaConfig(n=4, epsilon=1e-12, max_iter=5, seed=1))
+        newton = baseline_solve(model, x0, BaselineConfig(method="newton", epsilon=1e-12,
+                                                          max_iter=5, seed=1))
+    assert sigma.iterations >= 1 and newton.iterations >= 1
+    recorded = {span[0] for span in tracer.spans}
+    expected = {"objectives.predict", "objectives.gradient", "kernels.glm_terms",
+                "kernels.gram_gather", "core.spd_solve", "coarse.galerkin_system",
+                "solver.poisson_feasible_step", "solver.armijo_search",
+                "coarse.newton_direction"}
+    assert expected <= recorded, sorted(expected - recorded)
