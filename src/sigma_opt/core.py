@@ -5,8 +5,10 @@ Everything here is double precision. The solvers are deliberately direct
 reduced systems are cheap.
 """
 
+import logging
+
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import DomainError, InvalidDimensions, NotPositiveDefinite
 from .rng import RngState
@@ -16,14 +18,21 @@ from .rng import RngState
 DECREMENT_LIMIT = 0.68
 DECREMENT_SQ_LIMIT = DECREMENT_LIMIT**2
 
+logger = logging.getLogger(__name__)
+
 
 def spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A x = rhs`` for symmetric positive definite ``A``.
 
-    Uses a Cholesky factorization. If that fails, retries once with the
-    diagonal shifted by ``1e-10 * (1 + max diag)`` -- a PD matrix that fails to
-    factor is a conditioning artifact, and a tiny shift fixes it without
-    masking genuinely indefinite inputs.
+    ``rhs`` is a vector or a matrix of right-hand sides. Factors ``A`` with
+    LAPACK's ``dpotrf`` (lower triangle) and solves with ``dpotrs``, bound
+    once at import: the same calls, and so the same bits, as
+    ``scipy.linalg.cho_solve(cho_factor(A, lower=True), rhs)``, without the
+    wrappers' per-call dispatch. Neither input is modified. If the
+    factorization fails, it retries once with the diagonal shifted by
+    ``1e-10 * (1 + max diag)`` and logs the shift at WARNING -- a PD matrix
+    that fails to factor is a conditioning artifact, and a tiny shift fixes
+    it without masking genuinely indefinite inputs.
 
     Raises
     ------
@@ -31,6 +40,8 @@ def spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         If the factorization fails even after the shift retry.
     InvalidDimensions
         If ``A`` is not square or its order does not match ``rhs``.
+    ValueError
+        If ``A`` or ``rhs`` holds NaN or inf.
     """
     A = np.asarray(A, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -38,17 +49,22 @@ def spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise InvalidDimensions(f"expected a square matrix, got shape {A.shape}")
     if rhs.shape[0] != A.shape[0]:
         raise InvalidDimensions(f"matrix order {A.shape[0]} != rhs length {rhs.shape[0]}")
-    try:
-        c, low = scipy.linalg.cho_factor(A, lower=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _potrf(A, lower=1, clean=0)
+    if info > 0:
         shift = 1e-10 * (1.0 + float(np.max(np.diagonal(A))))
-        try:
-            c, low = scipy.linalg.cho_factor(A + shift * np.eye(A.shape[0]), lower=True)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise NotPositiveDefinite(
-                f"Cholesky failed even after diagonal shift {shift:.3e}"
-            ) from exc
-    return scipy.linalg.cho_solve((c, low), rhs)
+        logger.warning("Cholesky failed at leading minor %d; retrying with diagonal shift %.3e",
+                       info, shift)
+        c, info = _potrf(A + shift * np.eye(A.shape[0]), lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"Cholesky failed even after diagonal shift {shift:.3e}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    x, info = _potrs(c, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def omega(x):
@@ -76,8 +92,7 @@ def sample_without_replacement(N: int, n: int, rng: RngState) -> np.ndarray:
     """
     if not 1 <= n <= N:
         raise InvalidDimensions(f"need 1 <= n <= N, got n={n}, N={N}")
-    gen = rng.child()
-    idx = gen.choice(N, size=n, replace=False)
+    idx = rng.draw().choice(N, size=n, replace=False)
     idx.sort()
     return idx.astype(np.int64)
 

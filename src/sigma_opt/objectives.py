@@ -244,8 +244,7 @@ class ObjectiveModel:
         if w2 is None:
             w2 = self.point(x).w2
         q = self._row_coeff(rows.shape[0]) * kernels.gram_gather(self.dataset.A, w2, S, rows)
-        d = self.reg.hess_diag(x[S])
-        q[np.diag_indices_from(q)] += d
+        q.flat[::q.shape[0] + 1] += self.reg.hess_diag(x[S])
         return q
 
 

@@ -230,10 +230,13 @@ def armijo_search(ray: Ray, dir_deriv: float, t0: float, alpha: float,
     ``f(x + t d) - f(x)``, so it keeps resolving decreases far below the
     rounding noise of the absolute objective value. Candidate points outside
     the objective's domain are rejected like failed descent tests. Fails after
-    60 reductions, which signals a non-descent direction or a domain pathology.
+    60 reductions, which signals a non-descent direction or a domain pathology,
+    and at once unless ``t0 > 0``: the zero step passes the test trivially.
     """
     if not dir_deriv < 0:
         raise LineSearchFailed(f"directional derivative must be negative, got {dir_deriv}")
+    if not t0 > 0:
+        raise LineSearchFailed(f"initial step must be positive, got {t0}")
     t = t0
     for backtracks in range(61):
         try:
@@ -309,7 +312,8 @@ def drive(
     trace has one row per iterate including the starting point; row ``k``
     holds the objective, gradient norm (of ``point.g``) and decrement at
     iterate ``k`` together with the step length taken from it (0 on the
-    terminal row).
+    terminal row). The terminal row's gradient norm is exact: it is
+    recomputed from ``A x`` when the last iterate's margins were carried.
 
     Raises :class:`OutOfDomain` if ``x0`` is infeasible.
     """
@@ -327,8 +331,8 @@ def drive(
         except NotPositiveDefinite as exc:
             result.trace.append(
                 TraceRecord(k, elapsed, point.f, grad_norm, np.nan, None, 0.0, error_label, 0))
-            result.x_final, result.status, result.message = x, ERROR, str(exc)
-            return result
+            result.status, result.message = ERROR, str(exc)
+            return _finish(result, model, x, z)
         record = TraceRecord(k, elapsed, point.f, grad_norm, step.lambda_hat, step.lam, 0.0,
                              step.label, 0)
         result.trace.append(record)
@@ -349,8 +353,19 @@ def drive(
         # this iterate's arrays go before the next one is evaluated
         del point, step, ray
 
-    result.x_final = x
     result.final_decrement_sq = step.dec_sq
+    return _finish(result, model, x, z)
+
+
+def _finish(result: SolveResult, model: ObjectiveModel, x: np.ndarray,
+            z: Optional[np.ndarray]) -> SolveResult:
+    """End the run at ``x``. If its margins ``z`` were carried, ``x`` is
+    evaluated once more with ``A x`` formed, for the terminal row's exact
+    gradient norm; its ``f`` is kept, so the objective column stays the one
+    the steps were accepted on."""
+    result.x_final = x
+    if z is not None:
+        result.trace[-1].grad_norm = float(np.linalg.norm(model.point(x).g))
     return result
 
 

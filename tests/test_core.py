@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,11 +38,51 @@ class TestSpdSolve:
             x = spd_solve(A, rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
-    def test_shift_retry_recovers_semidefinite(self):
+    def test_shift_retry_recovers_semidefinite(self, caplog):
         # rank-deficient PSD: plain Cholesky fails, the shifted retry succeeds
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        x = spd_solve(A, np.array([2.0, 2.0]))
+        with caplog.at_level(logging.WARNING, logger="sigma_opt.core"):
+            x = spd_solve(A, np.array([2.0, 2.0]))
         assert np.allclose(A @ x, [2.0, 2.0], atol=1e-4)
+        # the fallback is logged with its shift, 1e-10 * (1 + max diag)
+        [record] = [r for r in caplog.records if r.name == "sigma_opt.core"]
+        assert record.levelno == logging.WARNING
+        assert "2.000e-10" in record.getMessage()
+
+    def test_no_warning_without_retry(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="sigma_opt.core"):
+            spd_solve(np.eye(3), np.ones(3))
+        assert not caplog.records
+
+    @pytest.mark.parametrize("layout", ["C", "F", "rhs-2d"])
+    def test_same_bits_as_scipy_cholesky(self, layout, gen):
+        n = 60
+        M = gen.standard_normal((3 * n, n))
+        A = np.array(M.T @ M, order="F" if layout == "F" else "C")
+        rhs = gen.standard_normal((n, 7) if layout == "rhs-2d" else n)
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
+        assert np.array_equal(spd_solve(A, rhs), expected)
+
+    @pytest.mark.parametrize("semidefinite", [False, True])
+    def test_inputs_unmodified(self, semidefinite, gen):
+        M = gen.standard_normal((4 if semidefinite else 20, 8))
+        A = M.T @ M  # rank 4 < 8 takes the shifted retry
+        rhs = gen.standard_normal(8)
+        A_before, rhs_before = A.copy(), rhs.copy()
+        spd_solve(A, rhs)
+        assert np.array_equal(A, A_before) and np.array_equal(rhs, rhs_before)
+
+    @pytest.mark.parametrize("where", ["lower", "upper", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, where, bad):
+        # the upper triangle is never read by the factorization, and is still checked
+        A, rhs = np.eye(3), np.ones(3)
+        if where == "rhs":
+            rhs[1] = bad
+        else:
+            A[(2, 0) if where == "lower" else (0, 2)] = bad
+        with pytest.raises(ValueError):
+            spd_solve(A, rhs)
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -130,6 +173,29 @@ class TestSampling:
         b = sample_without_replacement(100, 10, rng)
         assert rng.stream == 2
         assert not np.array_equal(a, b)
+
+    def test_one_generator_per_state(self):
+        # the first draw is child() at stream 0; later draws continue that
+        # generator, so child() builds exactly one of them
+        rng = RngState(5)
+        first = sample_without_replacement(100, 10, rng)
+        assert np.array_equal(first, np.sort(RngState(5).child().choice(100, 10, replace=False)))
+        gen = RngState(5).child()
+        gen.choice(100, 10, replace=False)
+        for _ in range(3):
+            expected = np.sort(gen.choice(100, 10, replace=False))
+            assert np.array_equal(sample_without_replacement(100, 10, rng), expected)
+        assert rng.stream == 4
+
+    def test_child_after_draws_is_its_stream(self):
+        # child() stays the independent sub-stream (seed, stream)
+        rng = RngState(9)
+        sample_without_replacement(10, 3, rng)
+        sample_without_replacement(10, 3, rng)
+        expected = np.random.default_rng(
+            np.random.SeedSequence(entropy=9, spawn_key=(2,))).standard_normal(3)
+        assert np.array_equal(rng.child().standard_normal(3), expected)
+        assert rng.stream == 3
 
 
 class TestHaar:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,18 @@ class TestSvdGap:
     def test_determinism(self):
         spec = SvdGapSpec(m=10, N=5, p=2, gap=10.0, seed=5)
         assert np.array_equal(svd_gap_matrix(spec, RngState(5)), svd_gap_matrix(spec, RngState(5)))
+
+    def test_acceptance_instance_bits(self):
+        # the c09 Poisson instance and every benchmark instance are drawn
+        # through RngState.child(); this digest (numpy 2.4 with its bundled
+        # OpenBLAS) pins their bits
+        A = svd_gap_matrix(SvdGapSpec(m=400, N=200, p=40, gap=100.0, seed=2), RngState(2))
+        b, x_true = synth_labels(A, LabelSpec("poisson", seed=3), RngState(3))
+        digest = hashlib.sha256()
+        for arr in (A, b, x_true):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == (
+            "1ffc77577e9f0166e254639cad7d0e5025f822de606dbc0c5a66109fb33d86bc")
 
     def test_validation(self):
         with pytest.raises(InvalidDimensions):

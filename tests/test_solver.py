@@ -195,6 +195,14 @@ class TestArmijo:
         assert t < 1.0
         assert model.evaluate(x + t * d) <= model.evaluate(x)
 
+    def test_zero_initial_step_rejected(self):
+        # poisson_feasible_step gives t0 = 0 at an infinite decrement; the zero
+        # step passes the descent test trivially and the iterate would repeat
+        model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
+        ray = Ray(model, np.array([1.0]), np.array([-0.5]))
+        with pytest.raises(LineSearchFailed):
+            armijo_search(ray, -1.0, 0.0, 0.25, 0.5)
+
 
 class TestPoissonFeasibleStep:
     def setup_method(self):
@@ -480,7 +488,9 @@ def test_one_pass_over_data_each_way_per_iterate(kind, solver, gen, monkeypatch)
                                                        sgd_t=1e-5, seed=2))
     # Newton converges in a few steps; one extra pass each would still show
     assert res.iterations >= (4 if solver == "newton" else 10)
-    assert len(calls) <= 2 * (res.iterations + 1)
+    # a terminal iterate with carried margins is evaluated once more, A x formed
+    terminal = 2 if res.iterations % EXACT_MARGINS_EVERY else 0
+    assert len(calls) <= 2 * (res.iterations + 1) + terminal
 
 
 @pytest.mark.parametrize(("kind", "solver"), [
@@ -507,11 +517,14 @@ def test_sigma_forms_a_x_once_per_refresh_period(kind, solver, gen, monkeypatch)
         res = baseline_solve(model, x0, BaselineConfig(method=solver, epsilon=1e-30, max_iter=80,
                                                        seed=2))
     assert res.iterations > 2 * EXACT_MARGINS_EVERY
-    assert formed == [k % EXACT_MARGINS_EVERY == 0 for k in range(res.iterations + 1)]
+    # a terminal iterate with carried margins is evaluated once more, A x formed
+    terminal = int(res.iterations % EXACT_MARGINS_EVERY != 0)
+    assert formed == ([k % EXACT_MARGINS_EVERY == 0 for k in range(res.iterations + 1)]
+                      + [True] * terminal)
     if solver == "sigma":
         # SIGMA's coarse steps take A d from the sampled columns, not from predict
-        assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1
-    assert calls.count("gradient") == res.iterations + 1
+        assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1 + terminal
+    assert calls.count("gradient") == res.iterations + 1 + terminal
 
 
 def test_carried_margins_track_a_x(monkeypatch):
@@ -528,14 +541,52 @@ def test_carried_margins_track_a_x(monkeypatch):
     monkeypatch.setattr(ObjectiveModel, "point", recorded)
     res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=100, seed=4))
     assert res.iterations >= 3 * EXACT_MARGINS_EVERY
-    assert len(seen) == res.iterations + 1
+    assert res.iterations % EXACT_MARGINS_EVERY != 0
+    # one evaluation per iterate, then the terminal one again with A x formed
+    assert len(seen) == res.iterations + 2
+    assert np.array_equal(seen[-1][0], res.x_final)
+    assert np.array_equal(seen[-1][1], model.predict(res.x_final))
     eps = np.finfo(np.float64).eps
-    for k, (x, z) in enumerate(seen):
+    for k, (x, z) in enumerate(seen[:-1]):
         exact = model.predict(x)
         if k % EXACT_MARGINS_EVERY == 0:
             assert np.array_equal(z, exact)
         assert np.all(np.abs(z - exact) <= 64 * eps * (np.abs(A) @ np.abs(x)))
         assert float(z.min()) > 0.0
+
+
+@pytest.mark.parametrize("solver", ["sigma", "newton"])
+def test_terminal_grad_norm_is_exact(solver):
+    # the terminal iterate's margins are carried (iterations not a multiple of
+    # EXACT_MARGINS_EVERY); its gradient norm is still the exact one
+    model, x0 = positive_poisson_instance(m=80, N=20)
+    if solver == "sigma":
+        res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=70, seed=4))
+    else:
+        res = baseline_solve(model, x0, BaselineConfig(method="newton", epsilon=1e-14, seed=2))
+        assert res.status == "converged"
+    assert res.iterations % EXACT_MARGINS_EVERY != 0
+    assert res.trace[-1].grad_norm == float(np.linalg.norm(model.gradient(res.x_final)))
+
+
+def test_sigma_builds_one_generator(monkeypatch):
+    # every per-iteration draw (coarse operator and row sample) continues the
+    # first draw's generator
+    from sigma_opt.rng import RngState
+
+    built = []
+
+    def counted(self, _orig=RngState.child):
+        built.append(self.stream)
+        return _orig(self)
+
+    monkeypatch.setattr(RngState, "child", counted)
+    model = random_logistic_model(np.random.default_rng(3), m=60, N=20,
+                                  reg=Regularization(xi2=1e-3))
+    res = sigma_solve(model, np.zeros(20), SigmaConfig(n=5, row_sample=40, epsilon=1e-30,
+                                                       max_iter=60, seed=2))
+    assert res.iterations == 60
+    assert len(built) <= 1
 
 
 def test_sgd_poisson_halving_forms_a_d_once(monkeypatch):
