@@ -129,7 +129,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
             if cfg.method == GD:
                 rule = UNIT
             else:
-                g_used = _batch_gradient(model, x, sample(min(cfg.batch, m)))
+                g_used = _batch_gradient(model, x, point.z, sample(min(cfg.batch, m)))
                 rule, t0 = SCHEDULED, cfg.sgd_t / (1.0 + cfg.sgd_gamma * k)
             d = -g_used
             gn = float(np.linalg.norm(g))
@@ -140,9 +140,9 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
     return drive(model, x0, cfg, direction, error_label=FINE)
 
 
-def _batch_gradient(model: ObjectiveModel, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    A = model.dataset.A[batch]
-    z = A @ x
-    model._check_domain(z)
-    _, w1, _ = kernels.glm_terms(model.kind, z, model.dataset.b[batch])
-    return model._row_coeff(batch.shape[0]) * (A.T @ w1) + model.reg.grad(x)
+def _batch_gradient(model: ObjectiveModel, x: np.ndarray, z: np.ndarray,
+                    batch: np.ndarray) -> np.ndarray:
+    """The gradient over the rows ``batch``, reweighted to the full sum, from
+    the margins ``z = A x`` of the evaluated point (already in the domain)."""
+    _, w1, _ = kernels.glm_terms(model.kind, z[batch], model.dataset.b[batch])
+    return model._row_coeff(batch.shape[0]) * (model.dataset.A[batch].T @ w1) + model.reg.grad(x)

@@ -4,7 +4,7 @@ Subcommands
 -----------
 solve    one solver on one dataset -> trace.csv + summary.json
 bench    several solvers (or a p-sweep) on one dataset -> per-solver traces,
-         comparison.csv, summary.md
+         comparison.csv (the trace rows with a gradient norm), summary.md
 datagen  synthetic dataset -> libsvm file + meta.json
 
 Configuration comes from an optional YAML file (``--config``) plus flag
@@ -84,12 +84,15 @@ def _fmt(v) -> str:
 
 
 def write_trace(path, trace) -> None:
+    """One CSV row per trace record; an unknown ``lambda`` or a ``grad_norm``
+    that was not formed (NaN) is left blank."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in trace:
             lam = "" if r.lam is None else _fmt(r.lam)
+            grad_norm = "" if np.isnan(r.grad_norm) else _fmt(r.grad_norm)
             fh.write(
-                f"{r.iter},{_fmt(r.elapsed_s)},{_fmt(r.f)},{_fmt(r.grad_norm)},"
+                f"{r.iter},{_fmt(r.elapsed_s)},{_fmt(r.f)},{grad_norm},"
                 f"{_fmt(r.lambda_hat)},{lam},{_fmt(r.step)},{r.direction},{r.backtracks}\n"
             )
 
@@ -353,8 +356,9 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
                           "iterations": result.iterations, "final_f": last.f,
                           "final_grad_norm": last.grad_norm, "elapsed_s": last.elapsed_s,
                           "message": result.message, "trace": f"trace_{safe}.csv"})
-        for r in result.trace:
-            rows.append((name, r.iter, r.elapsed_s, r.grad_norm, r.f))
+        # the rows whose gradient norm was formed
+        rows += [(name, r.iter, r.elapsed_s, r.grad_norm, r.f) for r in result.trace
+                 if np.isfinite(r.grad_norm)]
 
     with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
         fh.write("solver,iter,elapsed_s,grad_norm,f\n")

@@ -88,17 +88,23 @@ def galerkin_system(
     row_sample: np.ndarray | None = None,
     point: Point | None = None,
 ) -> GalerkinSystem:
-    """Assemble ``Q_H`` and the reduced gradient at ``x`` in O(m n^2).
+    """Assemble ``Q_H`` and the reduced gradient ``R grad f`` at ``x`` in O(m n^2).
 
-    ``point`` is ``model.point(x)`` when the caller already has it. The
-    curvature gathers the sampled block of ``A`` once and scales it in place
-    (:func:`kernels.gram_gather`); ``op`` has validated its indices, so they
-    are not checked again.
+    ``point`` is ``model.point(x)`` when the caller already has it. A sampled
+    operator reads only its ``n`` columns of ``A``: one gather serves the
+    restricted gradient (over every row, equal to ``point.g[S]`` up to
+    rounding) and the curvature, which scales the block in place
+    (:meth:`ObjectiveModel.reduced_system`); the full gradient is not formed.
+    The full operator takes ``point.g`` itself. ``op`` has validated its
+    indices, so they are not checked again.
     """
     if point is None:
         point = model.point(x)
-    q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, checked=True)
-    return GalerkinSystem(q=q, g=point.g[op.indices])
+    if op.is_full:
+        q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, checked=True)
+        return GalerkinSystem(q=q, g=point.g)
+    q, g = model.reduced_system(x, op.indices, point, row_sample, checked=True)
+    return GalerkinSystem(q=q, g=g)
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:

@@ -11,7 +11,8 @@ Two kernel families dominate a solver iteration:
   scales it by ``sqrt(w)`` (nonnegative for all three GLMs) and returns
   ``B^T B``, which numpy runs as one BLAS syrk: the result is exactly
   symmetric with no mirror step. ``A`` is never modified, and a row- or
-  column-major ``A`` gives the same bits.
+  column-major ``A`` gives the same bits. The same gather can also give
+  ``B^T v`` for a row vector ``v``: SIGMA's restricted gradient.
 
 ``set_num_threads`` caps, at runtime, the pool of each OpenBLAS loaded in the
 process (numpy's and scipy's wheels each bring one).
@@ -111,18 +112,25 @@ def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     return _TERMS[kind](z, b)
 
 
-def gram_gather(A: np.ndarray, w: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
     """``sum_{i in rows} w[i] * A[i, cols] A[i, cols]^T`` as an exactly symmetric matrix.
 
     ``cols`` and ``rows`` are strictly increasing index arrays. ``w`` must be
-    nonnegative: rows are scaled by ``sqrt(w)``.
+    nonnegative: rows are scaled by ``sqrt(w)``. Given a pair ``(w, v)`` of
+    row vectors instead, it returns ``(gram, B^T v[rows])``, where the product
+    is taken from the gathered block ``B = A[rows][:, cols]`` before it is
+    scaled: one gather serves both.
     """
+    w, v = w if isinstance(w, tuple) else (w, None)
     every_row = rows.shape[0] == A.shape[0]
     every_col = cols.shape[0] == A.shape[1]
-    s = np.sqrt(w if every_row else w[rows])[:, None]
     if every_row and every_col:
-        block = A * s
+        product = None if v is None else A.T @ v
+        block = A * np.sqrt(w)[:, None]
     else:
         block = A[:, cols] if every_row else A[rows] if every_col else A[np.ix_(rows, cols)]
-        block *= s
-    return block.T @ block
+        product = None if v is None else block.T @ (v if every_row else v[rows])
+        block *= np.sqrt(w if every_row else w[rows])[:, None]
+    # the square roots are freed before the syrk allocates the result
+    gram = block.T @ block
+    return gram if v is None else (gram, product)

@@ -14,6 +14,7 @@ Conventions:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,17 +115,31 @@ class DomainStatus:
 @dataclass(frozen=True)
 class Point:
     """The model evaluated once at an iterate ``x``: the margins ``z = A x``
-    (formed, or carried by the caller), the objective ``f``, the full gradient
-    ``g`` and the curvature row weights ``w2``, nonnegative for all three GLMs.
+    (formed, or carried by the caller), the objective ``f``, and the first-
+    and second-derivative row weights ``w1`` and ``w2`` (``w2`` nonnegative
+    for all three GLMs).
 
-    :meth:`ObjectiveModel.point` is the only evaluation of the loss; the other
-    oracles read its fields.
+    The full gradient ``g``, ``A^T w1`` plus the regularizer's, is one pass
+    over ``A``: it is formed on first read and kept. ``x`` must not change
+    while the point is in use. :meth:`ObjectiveModel.point` is the only
+    evaluation of the loss; the other oracles read its fields.
     """
 
+    model: "ObjectiveModel" = field(repr=False)
+    x: np.ndarray
     z: np.ndarray
     f: float
-    g: np.ndarray
+    w1: np.ndarray
     w2: np.ndarray
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.model.gradient(self.x, w1=self.w1)
+
+    def grad_norm(self, form: bool = False) -> float:
+        """``||g||``; NaN if ``g`` has not been formed, unless ``form`` forms it."""
+        g = self.g if form else self.__dict__.get("g")
+        return np.nan if g is None else float(np.linalg.norm(g))
 
 
 def poisson_scale(b: np.ndarray, m: int) -> float:
@@ -182,7 +197,8 @@ class ObjectiveModel:
     # -- oracles -----------------------------------------------------------
 
     def point(self, x: np.ndarray, z: np.ndarray | None = None) -> Point:
-        """Evaluate ``x`` once: one pass of the GLM terms and one ``A^T w``.
+        """Evaluate ``x`` once: one pass of the GLM terms; ``A^T w1`` waits
+        until the point's ``g`` is read.
 
         ``z``, ``A x`` carried by the caller, skips forming it. Raises
         :class:`OutOfDomain` on infeasible Poisson iterates.
@@ -192,7 +208,7 @@ class ObjectiveModel:
         self._check_domain(z)
         loss, w1, w2 = kernels.glm_terms(self.kind, z, self.dataset.b)
         f = self._row_coeff(self.dataset.m) * loss + self.reg.value(x)
-        return Point(z=z, f=f, g=self.gradient(x, w1=w1), w2=w2)
+        return Point(self, x, z, f, w1, w2)
 
     def evaluate(self, x: np.ndarray) -> float:
         """Objective value, ``point(x).f``. Raises :class:`OutOfDomain` on
@@ -243,9 +259,34 @@ class ObjectiveModel:
             rows = _check_index_set(row_sample, self.dataset.m)
         if w2 is None:
             w2 = self.point(x).w2
-        q = self._row_coeff(rows.shape[0]) * kernels.gram_gather(self.dataset.A, w2, S, rows)
-        q.flat[::q.shape[0] + 1] += self.reg.hess_diag(x[S])
-        return q
+        return self._hessian_block(kernels.gram_gather(self.dataset.A, w2, S, rows), x, S,
+                                   rows.shape[0])
+
+    def reduced_system(self, x: np.ndarray, S: np.ndarray, point: Point,
+                       row_sample: np.ndarray | None = None, *,
+                       checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q, g_S)`` at ``point``: :meth:`reduced_hessian` and the gradient on
+        ``S`` over every row (``point.g[S]`` up to rounding), in O(m n^2)
+        without the full ``A^T w1``. Unless rows are sampled, both come from
+        one gather of ``A[:, S]``.
+        """
+        if not checked:
+            S = _check_index_set(S, self.dataset.N)
+        A, m = self.dataset.A, self.dataset.m
+        if row_sample is None:
+            q, bw = kernels.gram_gather(A, (point.w2, point.w1), S, np.arange(m, dtype=np.int64))
+            q = self._hessian_block(q, x, S, m)
+        else:
+            bw = A[:, S].T @ point.w1
+            q = self.reduced_hessian(x, S, row_sample, w2=point.w2, checked=True)
+        return q, self._row_coeff(m) * bw + self.reg.grad(x[S])
+
+    def _hessian_block(self, gram: np.ndarray, x: np.ndarray, S: np.ndarray,
+                       n_rows: int) -> np.ndarray:
+        # scaled in place: one n x n matrix, not two
+        gram *= self._row_coeff(n_rows)
+        gram.flat[::gram.shape[0] + 1] += self.reg.hess_diag(x[S])
+        return gram
 
 
 class Ray:
@@ -256,6 +297,10 @@ class Ray:
     below the rounding noise of the absolute objective value. Each call is
     O(m + N). ``z = A x`` and ``dz = A d`` are formed at construction unless
     the caller passes them.
+
+    The ray remembers the largest step it has found feasible: the Poisson
+    domain along the ray is an interval of steps containing 0, so no step
+    up to that one is tested again.
     """
 
     def __init__(self, model: "ObjectiveModel", x: np.ndarray, d: np.ndarray,
@@ -266,6 +311,7 @@ class Ray:
         self.z = model.predict(x) if z is None else z
         self.dz = model.predict(d) if dz is None else dz
         model._check_domain(self.z)
+        self._feasible_to = 0.0
         if model.kind == GAUSSIAN:
             r = self.z - model.dataset.b
             self._s1 = float(self.dz @ r)
@@ -279,8 +325,15 @@ class Ray:
             self._sig = expit(self._u)
 
     def feasible(self, t: float) -> bool:
-        if self.model.kind != POISSON:
+        if self.model.kind != POISSON or 0.0 <= t <= self._feasible_to:
             return True
+        if not self._margins_positive(t):
+            return False
+        self._feasible_to = max(self._feasible_to, t)
+        return True
+
+    def _margins_positive(self, t: float) -> bool:
+        # the O(m) test
         return float(np.min(self.z + t * self.dz)) > 0.0
 
     def delta(self, t: float) -> float:

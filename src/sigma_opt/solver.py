@@ -173,6 +173,7 @@ class Direction(NamedTuple):
     rule: str = DAMPED  # how the step length is picked: DAMPED, UNIT or SCHEDULED
     t0: float = 1.0  # the SCHEDULED step
     dz: Optional[np.ndarray] = None  # A d if the direction has it; else the Ray forms it
+    slope: Optional[float] = None  # g^T d if the direction has it; else read from point.g
 
 
 def damped_initial_step(lam_hat: float) -> float:
@@ -202,11 +203,15 @@ def eta_region(e: float) -> float:
 def direction_select(
     lam_hat: float,
     lam: Optional[float],
-    g: np.ndarray,
+    g: Optional[np.ndarray],
     g_reduced: np.ndarray,
     cfg: SigmaConfig,
 ) -> str:
-    """Choose between the coarse and the fine direction for this iteration."""
+    """Choose between the coarse and the fine direction for this iteration.
+
+    The full gradient ``g`` is read only by ``euclidean_proxy``; the other
+    modes accept ``None`` for it.
+    """
     if cfg.check_mode == ALWAYS_COARSE:
         return COARSE
     if cfg.check_mode == NU_ONLY:
@@ -288,7 +293,8 @@ def _step_length(ray: Ray, point: Point, step: Direction, cfg: SolveConfig) -> t
     # underflows, so a direction that squared its decrement gets it back
     t0 = 1.0 if step.rule == UNIT else poisson_feasible_step(
         ray, float(np.sqrt(step.dec_sq)), cfg.zeta)
-    return armijo_search(ray, float(point.g @ step.d), t0, cfg.alpha, cfg.beta)
+    slope = float(point.g @ step.d) if step.slope is None else step.slope
+    return armijo_search(ray, slope, t0, cfg.alpha, cfg.beta)
 
 
 def drive(
@@ -308,11 +314,17 @@ def drive(
     supplied or the ray formed, or ``A x`` formed exactly at every
     ``EXACT_MARGINS_EVERY``-th iterate. If ``direction`` raises
     :class:`NotPositiveDefinite` the run ends with ``status == "error"``
-    and a last trace row labelled ``error_label``. The
-    trace has one row per iterate including the starting point; row ``k``
-    holds the objective, gradient norm (of ``point.g``) and decrement at
-    iterate ``k`` together with the step length taken from it (0 on the
-    terminal row). The terminal row's gradient norm is exact: it is
+    and a last trace row labelled ``error_label``.
+
+    The trace has one row per iterate including the starting point; row ``k``
+    holds the objective and decrement at iterate ``k`` together with the step
+    length taken from it (0 on the terminal row). Its gradient norm is
+    ``||point.g||`` where the full gradient is formed: on the refresh
+    iterates, wherever the direction reads it (every baseline, SIGMA's fine
+    steps and its ``full_decrement`` and ``euclidean_proxy`` modes) and for
+    a direction without its own ``slope``, whose step search reads it. It is
+    NaN on the other coarse rows, which touch only the sampled columns of
+    ``A``. The terminal and error rows' gradient norm is exact: it is
     recomputed from ``A x`` when the last iterate's margins were carried.
 
     Raises :class:`OutOfDomain` if ``x0`` is infeasible.
@@ -325,16 +337,17 @@ def drive(
     while True:
         elapsed = time.monotonic() - started
         point = model.point(x, z)
-        grad_norm = float(np.linalg.norm(point.g))
+        exact = z is None  # A x formed afresh: the row gets the exact gradient norm
         try:
             step = direction(x, point, k)
         except NotPositiveDefinite as exc:
-            result.trace.append(
-                TraceRecord(k, elapsed, point.f, grad_norm, np.nan, None, 0.0, error_label, 0))
+            result.trace.append(TraceRecord(k, elapsed, point.f, point.grad_norm(exact), np.nan,
+                                            None, 0.0, error_label, 0))
             result.status, result.message = ERROR, str(exc)
             return _finish(result, model, x, z)
-        record = TraceRecord(k, elapsed, point.f, grad_norm, step.lambda_hat, step.lam, 0.0,
-                             step.label, 0)
+        # a step without its own slope reads point.g in the step search
+        record = TraceRecord(k, elapsed, point.f, point.grad_norm(exact or step.slope is None),
+                             step.lambda_hat, step.lam, 0.0, step.label, 0)
         result.trace.append(record)
         if stopping_check(step.dec_sq, cfg.epsilon):
             result.status = CONVERGED
@@ -394,15 +407,16 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
         d_fine: Optional[np.ndarray] = None
         if cfg.check_mode == FULL_DECREMENT:
             d_fine, lam = newton_direction(model, x, point=point)
-        chosen = direction_select(step.lambda_hat, lam, point.g, g_reduced, cfg)
+        g = point.g if cfg.check_mode == EUCLIDEAN_PROXY else None
+        chosen = direction_select(step.lambda_hat, lam, g, g_reduced, cfg)
         if chosen == COARSE:
-            # A d from the sampled columns in O(m n), a contiguous gather
-            d, decrement = step.d_hat, step.lambda_hat
+            # A d from the sampled columns in O(m n), a contiguous gather;
+            # the slope g^T d is g_S^T d_coarse, so the step needs no full g
             dz = model.dataset.A[:, op.indices] @ step.d_coarse
-        else:  # the step's Ray forms A d
-            if d_fine is None:
-                d_fine, lam = newton_direction(model, x, point=point)
-            d, decrement, dz = d_fine, lam, None
-        return Direction(d, decrement * decrement, step.lambda_hat, lam, chosen, dz=dz)
+            return Direction(step.d_hat, step.lambda_hat * step.lambda_hat, step.lambda_hat, lam,
+                             COARSE, dz=dz, slope=float(g_reduced @ step.d_coarse))
+        if d_fine is None:  # the step's Ray forms A d
+            d_fine, lam = newton_direction(model, x, point=point)
+        return Direction(d_fine, lam * lam, step.lambda_hat, lam, FINE)
 
     return drive(model, x0, cfg, direction, error_label=COARSE)

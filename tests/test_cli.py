@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from sigma_opt import BaselineConfig, SigmaConfig, load_libsvm
 from sigma_opt.cli import TRACE_HEADER, cli
+from sigma_opt.solver import EXACT_MARGINS_EVERY
 
 
 @pytest.fixture()
@@ -74,6 +75,27 @@ class TestSolve:
         res = runner.invoke(cli, _solve_args(tmp_path / "o", extra=["--solver", "gd"]))
         assert res.exit_code in (0, 2)
         assert (tmp_path / "o" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("solver", ["sigma", "gd"])
+    def test_grad_norm_blank_where_not_formed(self, runner, tmp_path, solver):
+        # SIGMA's coarse iterations form the full gradient only on the refresh
+        # iterates (A x formed afresh) and at the end; a baseline reads it on
+        # every iterate
+        out = tmp_path / "o"
+        res = runner.invoke(cli, _solve_args(out, extra=["--solver", solver, "--epsilon", "1e-30",
+                                                         "--max-iter", "70"]))
+        assert res.exit_code == 2, res.output
+        rows = (out / "trace.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 71
+        for k, line in enumerate(rows):
+            cell = line.split(",")[3]
+            if solver == "sigma" and k % EXACT_MARGINS_EVERY and k != len(rows) - 1:
+                assert line.split(",")[7] == "coarse"
+                assert cell == "", line
+            else:
+                assert np.isfinite(float(cell)) and float(cell) >= 0, line
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_grad_norm"] == float(rows[-1].split(",")[3])
 
     @pytest.mark.parametrize("solver", ["sigma", "newton"])
     def test_defaults_are_the_config_defaults(self, runner, tmp_path, solver):

@@ -97,6 +97,23 @@ class TestGalerkinSystem:
         assert np.allclose(sys.q, model.hessian(x), atol=1e-12)
         assert np.array_equal(sys.g, model.gradient(x))
 
+    @pytest.mark.parametrize("row_sample", [None, np.arange(0, 40, 3)])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_sampled_gradient_is_the_full_one_restricted(self, gen, layout, row_sample):
+        # the sampled operator forms R grad f from its own columns of A; the
+        # gradient sums every row even when the curvature samples rows
+        base = random_logistic_model(gen, m=40, N=12, reg=Regularization(xi2=1e-3, xi1=1e-3))
+        model = make_objective("logistic", Dataset(layout(base.dataset.A), base.dataset.b),
+                               base.reg)
+        x = gen.standard_normal(12)
+        op = CoarseOperator(np.array([0, 3, 4, 9, 11], dtype=np.int64), 12)
+        sys = galerkin_system(model, x, op, row_sample)
+        g = model.gradient(x)
+        np.testing.assert_allclose(sys.g, g[op.indices], rtol=1e-13,
+                                   atol=1e-15 * float(np.abs(g).max()))
+        expected_q = model.reduced_hessian(x, op.indices, row_sample)
+        assert np.array_equal(sys.q, expected_q)
+
     def test_quadratic_subblock_is_identity(self):
         model = quadratic_model()
         op = CoarseOperator(np.array([1], dtype=np.int64), 2)

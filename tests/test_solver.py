@@ -240,6 +240,24 @@ class TestPoissonFeasibleStep:
         with pytest.raises(DomainError):
             poisson_feasible_step(self.ray(0.5), 3.0, zeta)
 
+    def test_step_found_feasible_is_not_tested_again(self, monkeypatch):
+        tested = []
+
+        def counted(ray, t, _orig=Ray._margins_positive):
+            tested.append(t)
+            return _orig(ray, t)
+
+        monkeypatch.setattr(Ray, "_margins_positive", counted)
+        ray = self.ray(-2.0)  # feasible for t < 0.5
+        assert ray.feasible(0.25) and tested == [0.25]
+        assert ray.feasible(0.1) and ray.feasible(0.25) and ray.feasible(0.0)
+        assert tested == [0.25]
+        assert not ray.feasible(0.5) and tested == [0.25, 0.5]
+        with pytest.raises(OutOfDomain):
+            ray.delta(0.75)
+        assert np.isfinite(ray.delta(0.2))
+        assert tested == [0.25, 0.5, 0.75]
+
     @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 40.0, np.inf])
     def test_unit_step_off_the_poisson_domain(self, kind, lam, gen):
@@ -524,7 +542,46 @@ def test_sigma_forms_a_x_once_per_refresh_period(kind, solver, gen, monkeypatch)
     if solver == "sigma":
         # SIGMA's coarse steps take A d from the sampled columns, not from predict
         assert calls.count("predict") <= -(-res.iterations // EXACT_MARGINS_EVERY) + 1 + terminal
-    assert calls.count("gradient") == res.iterations + 1 + terminal
+        # and their restricted gradient from those columns: the full A^T w is
+        # formed only on the refresh iterates and the terminal one
+        refreshes = sum(k % EXACT_MARGINS_EVERY == 0 for k in range(res.iterations + 1))
+        assert calls.count("gradient") == refreshes + terminal
+    else:
+        assert calls.count("gradient") == res.iterations + 1 + terminal
+
+
+def test_poisson_step_tests_each_trial_feasibility_once(monkeypatch):
+    # poisson_feasible_step proves its step feasible; the Armijo search from
+    # that step then makes no O(m) feasibility test of its own
+    from sigma_opt import solver
+
+    model, x0 = positive_poisson_instance(m=80, N=20)
+    tested = []
+    per_step = []  # (tests by poisson_feasible_step, tests by armijo_search)
+
+    def counted(ray, t, _orig=Ray._margins_positive):
+        tested.append(t)
+        return _orig(ray, t)
+
+    def feasible_step(*args, _orig=solver.poisson_feasible_step):
+        tested.clear()
+        t = _orig(*args)
+        per_step.append([len(tested), 0])
+        return t
+
+    def search(*args, _orig=solver.armijo_search):
+        before = len(tested)
+        result = _orig(*args)
+        per_step[-1][1] = len(tested) - before
+        return result
+
+    monkeypatch.setattr(Ray, "_margins_positive", counted)
+    monkeypatch.setattr(solver, "poisson_feasible_step", feasible_step)
+    monkeypatch.setattr(solver, "armijo_search", search)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=40, seed=4))
+    assert len(per_step) == res.iterations == 40
+    assert all(grow >= 1 for grow, _ in per_step)
+    assert [armijo for _, armijo in per_step] == [0] * 40
 
 
 def test_carried_margins_track_a_x(monkeypatch):
