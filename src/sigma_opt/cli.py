@@ -11,17 +11,9 @@ Configuration comes from an optional YAML file (``--config``) plus flag
 overrides; every effective parameter is echoed into summary.json so a run can
 be reproduced exactly. Exit codes: 0 converged, 2 budget exhausted
 (max-iter/timeout), 1 error.
-
-``SIGMA_OPT_THREADS`` caps the BLAS threads: the pools of numpy's and scipy's
-OpenBLAS. The cap applies at runtime, after those libraries have loaded, and
-each pool ends at ``min(current, cap)``, so a lower ``OPENBLAS_NUM_THREADS``
-set before start is kept. 0 or unset leaves the automatic setting; any other
-value that is not a nonnegative integer is logged as a warning and ignored.
 """
 
 import json
-import logging
-import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -30,7 +22,7 @@ import click
 import numpy as np
 import yaml
 
-from . import baselines, kernels, solver
+from . import baselines, solver
 from . import data as data_mod
 from .baselines import METHODS, BaselineConfig
 from .errors import NoFeasibleStart
@@ -46,8 +38,6 @@ from .objectives import (
 )
 from .rng import RngState
 from .solver import CHECK_MODES, SigmaConfig
-
-_log = logging.getLogger(__name__)
 
 TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,backtracks"
 
@@ -95,20 +85,6 @@ def write_trace(path, trace) -> None:
                 f"{r.iter},{_fmt(r.elapsed_s)},{_fmt(r.f)},{grad_norm},"
                 f"{_fmt(r.lambda_hat)},{lam},{_fmt(r.step)},{r.direction},{r.backtracks}\n"
             )
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("SIGMA_OPT_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        _log.warning("SIGMA_OPT_THREADS=%r is not a nonnegative integer; no thread cap applied", raw)
-        return
-    kernels.set_num_threads(cap)  # 0 = auto
 
 
 def _merge_config(ctx, defaults: dict, config_path) -> dict:
@@ -418,7 +394,6 @@ def datagen(m, N, p, gap, labels, noise, seed, out, **_kwargs):
 
 
 def main():
-    _apply_thread_cap()
     cli(prog_name="sigma-opt")
 
 

@@ -231,12 +231,12 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                     val = float(val_s)
                 except ValueError as exc:
                     raise ParseError(f"bad feature token {tok!r}", line=lineno) from exc
+                if idx < 1:
+                    raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
                 if idx <= prev:
                     raise NonAscendingIndexError(
                         f"index {idx} not ascending (previous {prev})", line=lineno
                     )
-                if idx < 1:
-                    raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
                 prev = idx
                 entries[idx] = val
             max_idx = max(max_idx, prev)

@@ -253,10 +253,7 @@ class ObjectiveModel:
         """
         if not checked:
             S = _check_index_set(S, self.dataset.N)
-        if row_sample is None:
-            rows = np.arange(self.dataset.m, dtype=np.int64)
-        else:
-            rows = _check_index_set(row_sample, self.dataset.m)
+        rows = self._rows(row_sample)
         if w2 is None:
             w2 = self.point(x).w2
         return self._hessian_block(kernels.gram_gather(self.dataset.A, w2, S, rows), x, S,
@@ -267,19 +264,19 @@ class ObjectiveModel:
                        checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """``(Q, g_S)`` at ``point``: :meth:`reduced_hessian` and the gradient on
         ``S`` over every row (``point.g[S]`` up to rounding), in O(m n^2)
-        without the full ``A^T w1``. Unless rows are sampled, both come from
-        one gather of ``A[:, S]``.
+        without the full ``A^T w1``. Both come from one gather of ``A[:, S]``;
+        with ``row_sample`` the curvature keeps only the sampled rows of it.
         """
         if not checked:
             S = _check_index_set(S, self.dataset.N)
-        A, m = self.dataset.A, self.dataset.m
-        if row_sample is None:
-            q, bw = kernels.gram_gather(A, (point.w2, point.w1), S, np.arange(m, dtype=np.int64))
-            q = self._hessian_block(q, x, S, m)
-        else:
-            bw = A[:, S].T @ point.w1
-            q = self.reduced_hessian(x, S, row_sample, w2=point.w2, checked=True)
-        return q, self._row_coeff(m) * bw + self.reg.grad(x[S])
+        rows = self._rows(row_sample)
+        q, bw = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
+        q = self._hessian_block(q, x, S, rows.shape[0])
+        return q, self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S])
+
+    def _rows(self, row_sample: np.ndarray | None) -> np.ndarray:
+        m = self.dataset.m
+        return np.arange(m, dtype=np.int64) if row_sample is None else _check_index_set(row_sample, m)
 
     def _hessian_block(self, gram: np.ndarray, x: np.ndarray, S: np.ndarray,
                        n_rows: int) -> np.ndarray:
@@ -295,34 +292,34 @@ class Ray:
     ``delta(t)`` returns ``f(x + t d) - f(x)`` computed without subtracting
     large near-equal values, so line searches keep resolving decreases far
     below the rounding noise of the absolute objective value. Each call is
-    O(m + N). ``z = A x`` and ``dz = A d`` are formed at construction unless
-    the caller passes them.
+    O(m + N). The ray reads the iterate's :class:`Point` (``x``, the margins
+    ``z = A x`` and the row weights ``w1``), so the GLM terms are not
+    evaluated again; ``dz = A d`` is formed at construction unless the caller
+    passes it.
 
     The ray remembers the largest step it has found feasible: the Poisson
     domain along the ray is an interval of steps containing 0, so no step
     up to that one is tested again.
     """
 
-    def __init__(self, model: "ObjectiveModel", x: np.ndarray, d: np.ndarray,
-                 z: np.ndarray | None = None, dz: np.ndarray | None = None):
+    def __init__(self, point: Point, d: np.ndarray, dz: np.ndarray | None = None):
+        model = point.model
         self.model = model
-        self.x = x
+        self.x = point.x
         self.d = d
-        self.z = model.predict(x) if z is None else z
+        self.z = point.z
         self.dz = model.predict(d) if dz is None else dz
-        model._check_domain(self.z)
         self._feasible_to = 0.0
         if model.kind == GAUSSIAN:
-            r = self.z - model.dataset.b
-            self._s1 = float(self.dz @ r)
+            # w1 is the residual z - b
+            self._s1 = float(self.dz @ point.w1)
             self._s2 = float(self.dz @ self.dz)
         elif model.kind == LOGISTIC:
-            from scipy.special import expit
-
-            # row loss softplus(u) with u = -b z; along the ray u moves by t v
+            # row loss softplus(u) with u = -b z; along the ray u moves by t v;
+            # w1 = -b sigma(u), so sigma(u) = -b w1 exactly for b = +-1
             self._u = -model.dataset.b * self.z
             self._v = -model.dataset.b * self.dz
-            self._sig = expit(self._u)
+            self._sig = -model.dataset.b * point.w1
 
     def feasible(self, t: float) -> bool:
         if self.model.kind != POISSON or 0.0 <= t <= self._feasible_to:

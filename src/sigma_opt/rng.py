@@ -51,7 +51,3 @@ class RngState:
         else:
             self.stream += 1
         return self._gen
-
-    def fork(self, offset: int) -> "RngState":
-        """Independent state for a sub-task (e.g. one bench entry)."""
-        return RngState(seed=self.seed + offset, stream=0)

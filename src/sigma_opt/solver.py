@@ -358,7 +358,7 @@ def drive(
         if elapsed > cfg.max_seconds:
             result.status = TIMEOUT
             break
-        ray = Ray(model, x, step.d, z=point.z, dz=step.dz)
+        ray = Ray(point, step.d, dz=step.dz)
         record.step, record.backtracks = _step_length(ray, point, step, cfg)
         x = x + record.step * step.d
         k += 1

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -351,15 +350,21 @@ class TestDatagen:
         assert np.array_equal(written.b, ds.b)
 
 
-# Inherited BLAS thread counts would stand in for the effect of SIGMA_OPT_THREADS.
-_THREAD_VARS = ("SIGMA_OPT_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Inherited BLAS thread counts would stand in for the variable under test.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Prints the thread count of every loaded OpenBLAS after the CLI's cap has run.
+# Runs a small CLI solve into argv[1], then prints the thread count of every
+# loaded OpenBLAS.
 _POOL_PROBE = """
-import ctypes, json
-from sigma_opt.cli import _apply_thread_cap
-_apply_thread_cap()
+import ctypes, json, sys
+from sigma_opt import cli
+out = sys.argv[1]
+sys.argv = ["sigma-opt", "solve", "--model", "gaussian", "--data", "synthetic", "--m", "30",
+            "--N", "15", "--p", "3", "--n", "8", "--seed", "1", "--max-iter", "50", "--out", out]
+try:
+    cli.main()
+except SystemExit as exc:
+    assert exc.code in (0, 2), exc.code
 with open("/proc/self/maps", encoding="utf-8") as fh:
     paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
 counts = {}
@@ -376,12 +381,6 @@ print(json.dumps({"paths": paths, "counts": counts}))
 """
 
 
-def _child_env(**overrides):
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env.update(overrides)
-    return env
-
-
 def _loaded_openblas():
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -390,48 +389,17 @@ def _loaded_openblas():
         return []
 
 
-def _pool_threads(**env):
-    res = subprocess.run([sys.executable, "-c", _POOL_PROBE], capture_output=True, text=True,
-                         env=_child_env(**env))
-    assert res.returncode == 0, res.stderr
-    found = json.loads(res.stdout)
-    assert found["paths"] and sorted(found["counts"]) == found["paths"], found
-    return found["counts"]
-
-
 @pytest.mark.skipif(not _loaded_openblas(), reason="no OpenBLAS library is loaded")
-def test_thread_cap_env_var(tmp_path):
-    out = tmp_path / "capped"
-    res = subprocess.run(
-        [sys.executable, "-m", "sigma_opt", "solve", "--model", "gaussian", "--data",
-         "synthetic", "--m", "30", "--N", "15", "--p", "3", "--n", "8", "--seed", "1",
-         "--epsilon", "1e-8", "--max-iter", "200", "--out", str(out)],
-        capture_output=True, text=True, env=_child_env(SIGMA_OPT_THREADS="1"),
-    )
-    assert res.returncode in (0, 2), res.stderr
+def test_openblas_num_threads_pins_every_pool(tmp_path):
+    # the one thread setting: OPENBLAS_NUM_THREADS, set before start, reaches
+    # the pools of numpy's and scipy's OpenBLAS alike
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    out = tmp_path / "pinned"
+    res = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(out)], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
     assert (out / "trace.csv").exists()
-
-    auto = _pool_threads()
-    assert set(_pool_threads(SIGMA_OPT_THREADS="1").values()) == {1}
-    assert _pool_threads(SIGMA_OPT_THREADS="0") == auto
-    # a cap is an upper bound: it never raises a pool, and a lower count set before start stays
-    assert _pool_threads(SIGMA_OPT_THREADS=str(max(auto.values()) + 1)) == auto
-    pinned = _pool_threads(OPENBLAS_NUM_THREADS="1")
-    assert _pool_threads(OPENBLAS_NUM_THREADS="1", SIGMA_OPT_THREADS="2") == pinned
-
-
-@pytest.mark.parametrize(("raw", "calls"), [
-    ("3", [3]), (" 2 ", [2]), ("0", [0]), ("two", []), ("1.5", []), ("-1", []),
-])
-def test_thread_cap_parses_value(monkeypatch, caplog, raw, calls):
-    from sigma_opt import cli as cli_mod
-    from sigma_opt import kernels
-
-    seen = []
-    monkeypatch.setattr(kernels, "set_num_threads", seen.append)
-    monkeypatch.setenv("SIGMA_OPT_THREADS", raw)
-    with caplog.at_level(logging.WARNING, logger="sigma_opt.cli"):
-        cli_mod._apply_thread_cap()
-    assert seen == calls
-    warned = f"SIGMA_OPT_THREADS={raw!r} is not a nonnegative integer; no thread cap applied"
-    assert (warned in caplog.text) == (not calls)
+    found = json.loads(res.stdout.splitlines()[-1])
+    assert found["paths"] and sorted(found["counts"]) == found["paths"], found
+    assert set(found["counts"].values()) == {1}, found

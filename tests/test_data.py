@@ -62,6 +62,15 @@ class TestLibsvm:
         with pytest.raises(NonAscendingIndexError):
             load_libsvm(p)
 
+    @pytest.mark.parametrize("token", ["0:2.0", "-3:2.0", "2:1 0:2.0"])
+    def test_index_below_one_is_not_one_based(self, tmp_path, token):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:1\n-1 {token}\n")
+        with pytest.raises(ParseError, match="1-based") as err:
+            load_libsvm(p)
+        assert not isinstance(err.value, NonAscendingIndexError)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("line", ["1 1:nan 2:1", "1 1:1 2:inf", "1 2:-inf", "nan 1:1"])
     def test_non_finite_rejected(self, tmp_path, line):
         p = tmp_path / "d.libsvm"

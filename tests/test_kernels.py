@@ -49,6 +49,19 @@ def test_gram_numpy_matches_reference(case, gen):
     assert np.array_equal(q, q.T)
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_gram_pair_product_runs_over_every_row(layout, gen):
+    # the curvature samples rows; the restricted gradient's product does not
+    m, N = 120, 30
+    A = layout(gen.standard_normal((m, N)))
+    w, v = np.abs(gen.standard_normal(m)), gen.standard_normal(m)
+    cols = np.sort(gen.choice(N, size=7, replace=False)).astype(np.int64)
+    rows = np.sort(gen.choice(m, size=45, replace=False)).astype(np.int64)
+    gram, product = kernels.gram_gather(A, (w, v), cols, rows)
+    assert np.array_equal(product, A[:, cols].T @ v)
+    assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
+
+
 def test_logistic_terms_stable_at_extreme_margins():
     z = np.array([800.0, -800.0, 35.0, -35.0])
     b = np.array([1.0, 1.0, -1.0, -1.0])

@@ -275,14 +275,14 @@ def test_ray_delta_matches_naive_difference(gen):
         model = builder(gen, m=15, N=6, reg=Regularization(xi2=1e-3, xi1=1e-3))
         x = gen.standard_normal(6)
         d = gen.standard_normal(6)
-        ray = Ray(model, x, d)
+        ray = Ray(model.point(x), d)
         for t in (0.0, 0.1, 0.5, 1.0):
             naive = model.evaluate(x + t * d) - model.evaluate(x)
             assert ray.delta(t) == pytest.approx(naive, abs=1e-10)
     model = random_poisson_model(gen, m=15, N=5)
     x = feasible_start(model)
     d = 0.1 * gen.standard_normal(5)
-    ray = Ray(model, x, d)
+    ray = Ray(model.point(x), d)
     for t in (0.0, 0.2, 1.0):
         naive = model.evaluate(x + t * d) - model.evaluate(x)
         assert ray.delta(t) == pytest.approx(naive, rel=1e-9, abs=1e-9)
@@ -325,7 +325,7 @@ def test_ray_delta_matches_difference_at_large_margins(kind, margin):
         x *= margin / np.abs(A @ x).max()
         d = gen.standard_normal(N)
         d *= 2.0 * margin / np.abs(A @ d).max()
-        ray = Ray(model, x, d)
+        ray = Ray(model.point(x), d)
         f0 = model.evaluate(x)
         for t in (1e-9, 1e-4, 0.1, 0.5, 1.0):
             if kind == "poisson" and (A @ (x + t * d)).min() < 1e-6 * margin:

@@ -155,14 +155,14 @@ class TestArmijo:
     def test_hand_example_unit_step(self):
         model = one_dim_quadratic()
         t, backtracks = armijo_search(
-            Ray(model, np.array([2.0]), np.array([-2.0])), dir_deriv=-4.0, t0=1.0, alpha=0.25,
+            Ray(model.point(np.array([2.0])), np.array([-2.0])), dir_deriv=-4.0, t0=1.0, alpha=0.25,
             beta=0.5)
         assert t == 1.0 and backtracks == 0
 
     def test_non_descent_rejected(self):
         model = one_dim_quadratic()
         with pytest.raises(LineSearchFailed):
-            armijo_search(Ray(model, np.array([2.0]), np.array([2.0])), 4.0, 1.0, 0.25, 0.5)
+            armijo_search(Ray(model.point(np.array([2.0])), np.array([2.0])), 4.0, 1.0, 0.25, 0.5)
 
     def test_poisson_boundary_caps_step(self):
         # descent toward the domain wall: margin 4 - 8t forces t < 0.5
@@ -170,7 +170,7 @@ class TestArmijo:
         x, d = np.array([4.0]), np.array([-8.0])
         g = model.gradient(x)
         assert float(g @ d) < 0
-        t, _ = armijo_search(Ray(model, x, d), float(g @ d), t0=1.0, alpha=0.25, beta=0.5)
+        t, _ = armijo_search(Ray(model.point(x), d), float(g @ d), t0=1.0, alpha=0.25, beta=0.5)
         assert t < 0.5
         assert model.domain_status(x + t * d).feasible
 
@@ -180,7 +180,7 @@ class TestArmijo:
             x = gen.standard_normal(6)
             g = model.gradient(x)
             d = -g
-            t, _ = armijo_search(Ray(model, x, d), float(g @ d), 1.0, 0.25, 0.5)
+            t, _ = armijo_search(Ray(model.point(x), d), float(g @ d), 1.0, 0.25, 0.5)
             assert model.evaluate(x + t * d) <= model.evaluate(x) + 0.25 * t * float(g @ d) + 1e-12
 
 
@@ -191,7 +191,7 @@ class TestArmijo:
         x, d = np.array([40.0]), np.array([-340.0])
         assert model.evaluate(x + d) > model.evaluate(x)
         g = model.gradient(x)
-        t, _ = armijo_search(Ray(model, x, d), float(g @ d), 1.0, 0.25, 0.5)
+        t, _ = armijo_search(Ray(model.point(x), d), float(g @ d), 1.0, 0.25, 0.5)
         assert t < 1.0
         assert model.evaluate(x + t * d) <= model.evaluate(x)
 
@@ -199,7 +199,7 @@ class TestArmijo:
         # poisson_feasible_step gives t0 = 0 at an infinite decrement; the zero
         # step passes the descent test trivially and the iterate would repeat
         model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
-        ray = Ray(model, np.array([1.0]), np.array([-0.5]))
+        ray = Ray(model.point(np.array([1.0])), np.array([-0.5]))
         with pytest.raises(LineSearchFailed):
             armijo_search(ray, -1.0, 0.0, 0.25, 0.5)
 
@@ -209,7 +209,7 @@ class TestPoissonFeasibleStep:
         self.model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
 
     def ray(self, d):
-        return Ray(self.model, np.array([1.0]), np.array([d]))
+        return Ray(self.model.point(np.array([1.0])), np.array([d]))
 
     def test_inward_direction_caps_at_one(self):
         assert poisson_feasible_step(self.ray(0.5), 3.0, 2.0) == 1.0
@@ -266,7 +266,7 @@ class TestPoissonFeasibleStep:
         A = gen.standard_normal((6, 3))
         b = gen.standard_normal(6) if kind == "gaussian" else np.where(A[:, 0] > 0, 1.0, -1.0)
         model = make_objective(kind, Dataset(A, b))
-        ray = Ray(model, gen.standard_normal(3), 1e6 * gen.standard_normal(3))
+        ray = Ray(model.point(gen.standard_normal(3)), 1e6 * gen.standard_normal(3))
         t0 = poisson_feasible_step(ray, lam, 2.0)
         assert t0 == (1.0 if np.isfinite(lam) else 0.0)
 
@@ -435,7 +435,7 @@ class TestSelfConcordantBehavior:
             if step.lambda_hat**2 <= 1e-14:
                 break
             g = model.gradient(x)
-            ray = Ray(model, x, step.d_hat)
+            ray = Ray(model.point(x), step.d_hat)
             t0 = poisson_feasible_step(ray, step.lambda_hat, 2.0)
             t, _bt = armijo_search(ray, float(g @ step.d_hat), t0, 0.25, 0.5)
             x_next = x + t * step.d_hat
