@@ -11,6 +11,8 @@ synthesized per model family from a hidden ground-truth weight vector.
 """
 
 import csv as _csv
+import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
 from .objectives import Dataset
 from .rng import RngState
 
+logger = logging.getLogger(__name__)
 GAUSSIAN_NOISE = "gaussian"
 POISSON_COUNTS = "poisson"
 LOGISTIC_SIGNS = "logistic"
@@ -205,13 +208,61 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Parse the libsvm text format (``label idx:val ...``, 1-based ascending
     indices) into a dense, column-major dataset.
 
-    The feature count is inferred from the largest index unless overridden.
-    Binary {0, 1} label files are normalized to {-1, +1}; all other label
-    values are kept as-is.
+    The feature count is inferred from the largest index unless overridden;
+    it must be positive. Binary {0, 1} label files are normalized to {-1, +1};
+    all other label values are kept as-is.
     """
-    rows: list[dict[int, float]] = []
-    labels: list[float] = []
-    max_idx = 0
+    parsed = _libsvm_fast(path)
+    if isinstance(parsed, int):
+        logger.debug("%s: line %d is not canonical; parsing token by token", path, parsed)
+    labels, rows, idx, vals = _libsvm_tokens(path) if isinstance(parsed, int) else parsed
+    if not labels.size:
+        raise ParseError(f"{path}: no data lines")
+    max_idx = int(idx.max(initial=0))
+    N = n_features if n_features is not None else max_idx
+    if N < 1:
+        raise InvalidDimensions(f"{path}: no features (N = {N})")
+    if max_idx > N:
+        raise InvalidDimensions(f"file has index {max_idx} but n_features={N}")
+    A = np.zeros((labels.size, N), order="F")
+    A[rows, idx - 1] = vals
+    if set(np.unique(labels).tolist()) <= {0.0, 1.0}:
+        labels = np.where(labels > 0.5, 1.0, -1.0)
+    return Dataset(A, labels)
+
+
+def _libsvm_fast(path):
+    """``(labels, rows, idx, vals)`` by one ``np.fromstring`` per canonical line
+    (README, "libsvm input"), or the number of the first line that is not."""
+    entries = {}  # line number -> its numbers
+    to_nul = bytes.maketrans(bytes(range(32)) + b"\x7f(", bytes(34))  # controls, "(" of nan(...)
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2.3: else a short array
+        for lineno, line in enumerate(map(bytes.strip, fh), start=1):
+            if line[:1] in (b"", b"#") and line.isascii() and b"\r" not in line:
+                continue
+            rest, nnz = line.translate(to_nul, b"0123456789"), line.count(b":")
+            try:
+                nums = np.fromstring(line.replace(b":", b" "), sep=" ")
+            except (ValueError, DeprecationWarning):
+                return lineno
+            if (not line.isascii() or b"\0" in rest or rest.count(b" ") != nnz
+                    or rest.count(b" :") != nnz or nums.size != 1 + 2 * nnz):
+                return lineno
+            entries[lineno] = nums
+    labels = np.array([e[0] for e in entries.values()], dtype=np.float64)
+    rows = np.repeat(np.arange(labels.size), [e.size // 2 for e in entries.values()])
+    idx, vals = np.concatenate([np.empty(0), *(e[1:] for e in entries.values())]).reshape(-1, 2).T
+    bad = (idx < 1) | (idx >= 2**31)  # in range, so exact, and rising within each row
+    bad[1:] |= (idx[1:] <= idx[:-1]) & (rows[1:] == rows[:-1])
+    if bad.any():
+        return list(entries)[rows[bad.argmax()]]
+    return labels, rows, idx.astype(np.int64), vals
+
+
+def _libsvm_tokens(path):
+    """The reference parser, token by token, raising each parse error with its line."""
+    labels, entries = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -222,7 +273,6 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                 labels.append(float(tokens[0]))
             except ValueError as exc:
                 raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from exc
-            entries: dict[int, float] = {}
             prev = 0
             for tok in tokens[1:]:
                 try:
@@ -234,27 +284,12 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
                 if idx < 1:
                     raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
                 if idx <= prev:
-                    raise NonAscendingIndexError(
-                        f"index {idx} not ascending (previous {prev})", line=lineno
-                    )
+                    raise NonAscendingIndexError(f"index {idx} not ascending (previous {prev})",
+                                                 line=lineno)
                 prev = idx
-                entries[idx] = val
-            max_idx = max(max_idx, prev)
-            rows.append(entries)
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
-    N = n_features if n_features is not None else max_idx
-    if max_idx > N:
-        raise InvalidDimensions(f"file has index {max_idx} but n_features={N}")
-    A = np.zeros((len(rows), N), order="F")
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            A[i, idx - 1] = val
-    b = np.asarray(labels)
-    uniq = set(np.unique(b).tolist())
-    if uniq <= {0.0, 1.0}:
-        b = np.where(b > 0.5, 1.0, -1.0)
-    return Dataset(A, b)
+                entries.append((len(labels) - 1, idx, val))
+    e = np.array(entries, dtype=[("row", np.int64), ("idx", np.int64), ("val", np.float64)])
+    return np.array(labels, dtype=np.float64), e["row"], e["idx"], e["val"]
 
 
 def write_libsvm(ds: Dataset, path) -> None:

@@ -314,7 +314,10 @@ def drive(
     supplied or the ray formed, or ``A x`` formed exactly at every
     ``EXACT_MARGINS_EVERY``-th iterate. If ``direction`` raises
     :class:`NotPositiveDefinite` the run ends with ``status == "error"``
-    and a last trace row labelled ``error_label``.
+    and a last trace row labelled ``error_label``. If ``point`` finds a later
+    iterate outside the domain (its exact margins at a refresh, where the
+    carried ones were inside), the run ends with ``status == "error"`` at the
+    last iterate it accepted, whose row keeps the step that was taken from it.
 
     The trace has one row per iterate including the starting point; row ``k``
     holds the objective and decrement at iterate ``k`` together with the step
@@ -336,7 +339,14 @@ def drive(
     z = None
     while True:
         elapsed = time.monotonic() - started
-        point = model.point(x, z)
+        try:
+            point = model.point(x, z)
+        except OutOfDomain as exc:
+            if k == 0:
+                raise
+            result.status, result.message = ERROR, str(exc)
+            return result
+        result.x_final = x
         exact = z is None  # A x formed afresh: the row gets the exact gradient norm
         try:
             step = direction(x, point, k)

@@ -1,7 +1,12 @@
 import hashlib
+import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_opt import (
     Dataset,
@@ -16,6 +21,7 @@ from sigma_opt import (
     synth_labels,
     write_libsvm,
 )
+from sigma_opt import data
 from sigma_opt.data import apply_standardize, singular_value_bands
 from sigma_opt.errors import (
     DomainError,
@@ -299,3 +305,109 @@ def test_synthetic_poisson_pipeline_builds_model(gen):
     b, x_true = synth_labels(A, LabelSpec("poisson", seed=8), RngState(8))
     model = make_objective("poisson", Dataset(A, b))
     assert model.domain_status(x_true).feasible
+
+
+def _load_outcome(path, n_features=None):
+    """A loaded file's exact bits, or the exception's type, message and line."""
+    try:
+        ds = load_libsvm(path, n_features)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ds.A.tobytes(), ds.b.tobytes(), ds.A.shape, ds.A.flags.f_contiguous
+
+
+def _assert_same_as_token_path(path, n_features=None):
+    """``load_libsvm`` decides the file as the token parser on its own does."""
+    both = _load_outcome(path, n_features)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_libsvm_fast", lambda _path: 1)
+        assert both == _load_outcome(path, n_features)
+
+
+class TestLibsvmPaths:
+    """The canonical fast path against the reference token parser."""
+
+    @pytest.mark.parametrize("text", [
+        b"1 1:2\t3:4\n", b"1 1:2\x0b3:4\n", b"1 1:2\x0c3:4\n", b"1 1:2\r3:4\n",
+        b"1 1:2\t3 :5\n",  # a tab is a separator too: three tokens, one without ':'
+        b"1  1:2\n", b"1 1:2  3:4\n", b"1 1.0:2\n", b"1 1e2:2\n", b"1 +1:2\n", b"1 01:2\n",
+        b"1 1_0:2\n", b"1 1:1_0\n", b"1_0 1:2\n", b"+1 1:2\n-1 2:3\n", b"1 1:2:3 4\n",
+        b"1 :2\n", b"1 1 :2\n", b"1 1:\n", b"1 1: 2:3\n", b"1 1::2\n", b"1 1:nan(1)\n",
+        b"1 inf:1\n", b"inf 1:1\n", b"1 1:1e400\n", b"1 1:1e-400\n", b"1 1:4.9e-324\n",
+        b"-0 1:-0.0\n", b"1 1:.5 2:5.\n", b"1 0x1:2\n", b"1 1:0x10\n",
+        "1 ١:3\n".encode(), "1 1:١\n".encode(), b"1 1:2\xff\n",
+        b"1 1:2\r\n-1 2:3\r\n", b"1 1:1\r\r\n", b"\r1 1:1\n", b"# c\n1 1:2\n\n\n-1 2:1\n",
+        b"#a\rb\n1 1:2\n", b"#\xff\n1 1:2\n", b"#\t\n1 1:2\n", b"1 1:2 # c\n", b"  1 1:2 \n",
+        b"1 1:2\x00\n", b"1 1:2\x1c\n", b"1 1:2\x1f3:4\n", b"1 1:2\x7f\n", b"\xef\xbb\xbf1 1:2\n",
+        b"1 2:1 1:1\n", b"1 1:1 1:2\n", b"1 0:1\n",
+        b"1 1:2 3\n", b"1 a:b\n", b"1\n0\n", b"1\n", b"", b"\n\n", b"# only\n",
+    ])
+    def test_corpus(self, tmp_path, text):
+        p = tmp_path / "d.libsvm"
+        p.write_bytes(text)
+        _assert_same_as_token_path(p)
+
+    @pytest.mark.parametrize("index", [2**31 - 1, 2**31, 2**53 + 1])
+    def test_large_index(self, tmp_path, index):
+        # n_features keeps N small; a float index above 2^53 would read as 2^53
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:2 {index}:3\n")
+        _assert_same_as_token_path(p, n_features=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["1", "-1", "0", "2.5", "3"]),
+                              st.lists(st.integers(1, 12), max_size=5, unique=True),
+                              st.lists(st.sampled_from(["1", "-2.5", "0.125", "1e-3", "7"]),
+                                       min_size=5, max_size=5)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 200), st.integers(0, 2),
+                              st.sampled_from(list(" \t\x0b\x0c\r\n\x1c\x00:.eE+-_#0129anfx")
+                                              + ["١", "\u0085", "  ", "::", "inf"])),
+                    max_size=3),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_mutated_canonical_lines(self, rows, edits, end):
+        lines = [" ".join([label] + [f"{j}:{v}" for j, v in zip(sorted(idx), vals)])
+                 for label, idx, vals in rows]
+        for k, pos, op, s in edits:
+            line = lines[k % len(lines)]
+            pos %= len(line) + 1
+            cut = pos + 1 if op else pos  # insert, or replace / delete one character
+            lines[k % len(lines)] = line[:pos] + ("" if op == 2 else s) + line[cut:]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "d.libsvm"
+            p.write_bytes((end.join(lines) + end).encode())
+            _assert_same_as_token_path(p)
+
+    def test_written_file_takes_the_fast_path(self, tmp_path, gen, monkeypatch):
+        A = gen.standard_normal((40, 9)) * 10.0 ** gen.integers(-300, 300, (40, 9))
+        A[gen.random((40, 9)) < 0.3] = 0.0
+        A[3] = 0.0  # a row without features
+        ds = Dataset(A, gen.integers(0, 2, 40).astype(float))
+        p = tmp_path / "w.libsvm"
+        write_libsvm(ds, p)
+
+        def fail(path):
+            raise AssertionError("the token parser ran")
+
+        monkeypatch.setattr(data, "_libsvm_tokens", fail)
+        back = load_libsvm(p, n_features=9)
+        assert np.array_equal(back.A, ds.A)
+        assert np.array_equal(back.b, np.where(ds.b > 0.5, 1.0, -1.0))
+
+    def test_fallback_logs_the_line(self, tmp_path, caplog):
+        p = tmp_path / "d.libsvm"
+        p.write_text("1 1:1\n# c\n1\t2:1\n")
+        with caplog.at_level(logging.DEBUG, logger="sigma_opt.data"):
+            ds = load_libsvm(p)
+        assert ds.A.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert "line 3 is not canonical" in caplog.text
+
+    @pytest.mark.parametrize("text, n_features", [
+        ("1\n0\n", None), ("1\n", 0), ("1\n", -2), ("1 1:1\n", 0), ("# c\n2.5\n", None),
+    ])
+    def test_featureless_rejected(self, tmp_path, text, n_features):
+        p = tmp_path / "d.libsvm"
+        p.write_text(text)
+        with pytest.raises(InvalidDimensions, match="no features"):
+            load_libsvm(p, n_features=n_features)
+

@@ -7,18 +7,22 @@ from helpers import positive_poisson_instance, random_gaussian_model, random_log
 from sigma_opt import (
     BaselineConfig,
     Dataset,
+    LabelSpec,
     ObjectiveModel,
     Regularization,
+    RngState,
     SigmaConfig,
     armijo_search,
     baseline_solve,
     damped_initial_step,
     direction_select,
     eta_region,
+    feasible_start,
     make_objective,
     poisson_feasible_step,
     sigma_solve,
     stopping_check,
+    synth_labels,
 )
 from sigma_opt.errors import (
     DomainError,
@@ -679,3 +683,24 @@ def test_same_iterations_on_row_and_column_major_data(method, gen):
             results.append(sigma_solve(model, np.zeros(20), cfg))
     assert results[0].status == results[1].status == "converged"
     assert results[0].iterations == results[1].iterations
+
+
+def test_iterate_out_of_domain_ends_the_run(monkeypatch):
+    # SGD's steps keep the carried margins z + t A d inside the Poisson domain,
+    # but at a refresh iterate A x is formed exactly and a margin reads 0
+    A = np.random.default_rng(77).uniform(0.1, 1.1, (200, 50))
+    b, _ = synth_labels(A, LabelSpec("poisson", 0, 78), RngState(78))
+    model = make_objective("poisson", Dataset(A, b), Regularization(xi2=1e-6))
+    accepted = []
+
+    def recorded(self, x, z=None, _orig=ObjectiveModel.point):
+        point = _orig(self, x, z)
+        accepted.append(x.copy())
+        return point
+
+    monkeypatch.setattr(ObjectiveModel, "point", recorded)
+    res = baseline_solve(model, feasible_start(model), BaselineConfig(method="sgd", seed=3))
+    assert res.status == "error"
+    assert res.message.startswith("Poisson margin min a_i^T x = ")
+    assert len(accepted) == len(res.trace) > 1
+    assert np.array_equal(res.x_final, accepted[-1])
