@@ -15,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .coarse import newton_direction
 from .core import sample_without_replacement, spd_solve
 from .errors import InvalidDimensions, NotPositiveDefinite
-from .objectives import ObjectiveModel
+from .objectives import ObjectiveModel, Point
 from .rng import RngState
 from .solver import (  # noqa: F401  perfbench/tracer.py looks up armijo_search here
     DAMPED,
@@ -129,7 +128,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
             if cfg.method == GD:
                 rule = UNIT
             else:
-                g_used = _batch_gradient(model, x, point.z, sample(min(cfg.batch, m)))
+                g_used = _batch_gradient(model, point, sample(min(cfg.batch, m)))
                 rule, t0 = SCHEDULED, cfg.sgd_t / (1.0 + cfg.sgd_gamma * k)
             d = -g_used
             gn = float(np.linalg.norm(g))
@@ -140,9 +139,8 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
     return drive(model, x0, cfg, direction, error_label=FINE)
 
 
-def _batch_gradient(model: ObjectiveModel, x: np.ndarray, z: np.ndarray,
-                    batch: np.ndarray) -> np.ndarray:
+def _batch_gradient(model: ObjectiveModel, point: Point, batch: np.ndarray) -> np.ndarray:
     """The gradient over the rows ``batch``, reweighted to the full sum, from
-    the margins ``z = A x`` of the evaluated point (already in the domain)."""
-    _, w1, _ = kernels.glm_terms(model.kind, z[batch], model.dataset.b[batch])
-    return model._row_coeff(batch.shape[0]) * (model.dataset.A[batch].T @ w1) + model.reg.grad(x)
+    the row weights ``w1`` of the evaluated point."""
+    return (model._row_coeff(batch.shape[0]) * (model.dataset.A[batch].T @ point.w1[batch])
+            + model.reg.grad(point.x))

@@ -7,15 +7,15 @@ bench    several solvers (or a p-sweep) on one dataset -> per-solver traces,
          comparison.csv (the trace rows with a gradient norm), summary.md
 datagen  synthetic dataset -> libsvm file + meta.json
 
-Configuration comes from an optional YAML file (``--config``) plus flag
-overrides; every effective parameter is echoed into summary.json so a run can
-be reproduced exactly. Exit codes: 0 converged, 2 budget exhausted
-(max-iter/timeout), 1 error.
+Configuration comes from an optional YAML file (``--config``), checked like
+flags, plus flag overrides; summary.json echoes every effective parameter of
+the command so a run can be reproduced exactly. Exit codes: 0 converged,
+2 budget exhausted (max-iter/timeout), 1 error (a rejected value too).
 """
 
 import json
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -37,36 +37,11 @@ from .objectives import (
     positive_margin_start,
 )
 from .rng import RngState
-from .solver import CHECK_MODES, SigmaConfig
+from .solver import CHECK_MODES, SigmaConfig, SolveConfig
 
 TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,backtracks"
 
 SOLVERS = ("sigma",) + METHODS
-
-# Every solve option and YAML key with its default. Solver and
-# regularization defaults come from their dataclasses; SigmaConfig's
-# row_sample is fed by the shared "rows" key.
-_SOLVE_DEFAULTS = {
-    "model": GAUSSIAN,
-    "data": None,
-    "label_column": "last",
-    "n_features": None,
-    "standardize": False,
-    "m": 100,
-    "N": 50,
-    "p": 10,
-    "gap": 100.0,
-    "labels": None,
-    "noise": 0.0,
-    "solver": "sigma",
-    "n": None,
-    **{f.name: f.default for cls in (SigmaConfig, BaselineConfig) for f in fields(cls)
-       if f.default is not MISSING and f.name != "row_sample"},
-    "xi1": Regularization.xi1,
-    "xi2": Regularization.xi2,
-    "huber_c": Regularization.c,
-    "out": "out",
-}
 
 
 def _fmt(v) -> str:
@@ -87,28 +62,23 @@ def write_trace(path, trace) -> None:
             )
 
 
-def _merge_config(ctx, defaults: dict, config_path) -> dict:
-    """defaults <- config file <- flags that were explicitly passed."""
-    merged = dict(defaults)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise click.ClickException("config file must be a YAML mapping")
-        unknown = set(loaded) - set(defaults) - {"solvers", "p_list"}
-        if unknown:
-            raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
-    for name, value in ctx.params.items():
-        src = ctx.get_parameter_source(name)
-        if src is not None and src.name == "COMMANDLINE" and name in merged:
-            merged[name] = value
-    return merged
-
-
-# the parameters _build_dataset reads
-_DATASET_KEYS = ("data", "label_column", "n_features", "standardize", "m", "N", "p", "gap",
-                 "labels", "model", "noise", "seed")
+def _load_config(ctx, _param, path):
+    """Eager ``--config`` callback: the YAML mapping becomes click's
+    ``default_map``, so each value is converted and checked by its option's
+    type and an explicit flag still overrides it. One file may hold the keys of
+    both ``solve`` and ``bench``; a list value is joined with commas."""
+    if path is None:
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = yaml.safe_load(fh) or {}
+    if not isinstance(loaded, dict):
+        raise click.ClickException("config file must be a YAML mapping")
+    known = {param.name for command in (solve, bench) for param in command.params} - {"config"}
+    unknown = set(map(str, loaded)) - known
+    if unknown:
+        raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
+    ctx.default_map = {k: ",".join(map(str, v)) if isinstance(v, list) else v
+                       for k, v in loaded.items()}
 
 
 def _synthetic(m, N, p, gap, labels, noise, seed):
@@ -147,28 +117,24 @@ def _build_dataset(p: dict):
     return ds, x_true, meta
 
 
-def _build_model(p: dict, ds):
+def _run(p: dict, ds, x_true, seed: int):
+    """Build the model, pick a start and run ``p["solver"]`` (the multilevel
+    solver or a baseline) on it; returns ``(model, SolveResult, config)``."""
     reg = Regularization(xi2=p["xi2"], xi1=p["xi1"], c=p["huber_c"])
-    return make_objective(p["model"], ds, reg)
-
-
-def _resolve_x0(model, x_true):
+    model = make_objective(p["model"], ds, reg)
     try:
-        return feasible_start(model)
+        x0 = feasible_start(model)
     except NoFeasibleStart:
         if x_true is not None and model.domain_status(x_true).feasible:
-            return x_true
-        return positive_margin_start(model.dataset)
-
-
-def _run_one(p: dict, model, x0, name: str, seed: int):
-    """Dispatch to the multilevel solver or a baseline; returns SolveResult."""
-    if name == "sigma":
-        n = p["n"] if p["n"] is not None else max(1, model.dataset.N // 2)
+            x0 = x_true
+        else:
+            x0 = positive_margin_start(model.dataset)
+    if p["solver"] == "sigma":
+        n = p["n"] if p["n"] is not None else max(1, ds.N // 2)
         cfg = _config(SigmaConfig, p, n=n, row_sample=p["rows"], seed=seed)
-        return solver.sigma_solve(model, x0, cfg), cfg
-    cfg = _config(BaselineConfig, p, method=name, seed=seed)
-    return baselines.baseline_solve(model, x0, cfg), cfg
+        return model, solver.sigma_solve(model, x0, cfg), cfg
+    cfg = _config(BaselineConfig, p, method=p["solver"], seed=seed)
+    return model, baselines.baseline_solve(model, x0, cfg), cfg
 
 
 def _config(cls, p: dict, **fixed):
@@ -188,7 +154,7 @@ def _summary_dict(result, model, effective: dict, cfg) -> dict:
             None if not np.isfinite(result.final_decrement_sq) else result.final_decrement_sq
         ),
         "elapsed_s": None if last is None else last.elapsed_s,
-        "config": {k: (v if not isinstance(v, Path) else str(v)) for k, v in effective.items()},
+        "config": effective,
         "solver_config": asdict(cfg),
     }
     if model.kind == POISSON and last is not None:
@@ -201,44 +167,49 @@ _STATUS_EXIT = {"converged": 0, "max_iter": 2, "timeout": 2, "error": 1}
 
 
 def _add_solve_options(fn):
-    # no click defaults: an option only counts when given (see _merge_config)
+    # SigmaConfig's row_sample is fed by the shared --rows
     opts = [
-        click.option("--config", type=click.Path(exists=True),
+        click.option("--config", type=click.Path(exists=True), is_eager=True,
+                     expose_value=False, callback=_load_config,
                      help="YAML config; flags override it."),
-        click.option("--model", type=click.Choice(KINDS)),
+        click.option("--model", type=click.Choice(KINDS), default=GAUSSIAN),
         click.option("--data", help="'synthetic' or a libsvm/csv path."),
-        click.option("--label-column", "label_column"),
+        click.option("--label-column", "label_column", default="last"),
         click.option("--n-features", "n_features", type=int),
         click.option("--standardize", is_flag=True),
-        click.option("--m", type=int),
-        click.option("--N", "N", type=int),
-        click.option("--p", type=int),
-        click.option("--gap", type=float),
+        click.option("--m", type=int, default=100),
+        click.option("--N", "N", type=int, default=50),
+        click.option("--p", type=int, default=10),
+        click.option("--gap", type=float, default=100.0),
         click.option("--labels", type=click.Choice(KINDS),
                      help="Synthetic label kind (defaults to the model kind)."),
-        click.option("--noise", type=float),
+        click.option("--noise", type=float, default=0.0),
         click.option("--n", type=int, help="Coarse dimension (default N/2)."),
-        click.option("--mu", type=float),
-        click.option("--nu", type=float),
-        click.option("--epsilon", type=float),
-        click.option("--alpha", type=float),
-        click.option("--beta", type=float),
-        click.option("--zeta", type=float),
-        click.option("--check-mode", "check_mode", type=click.Choice(CHECK_MODES)),
-        click.option("--freeze-operator", "freeze_operator", is_flag=True),
-        click.option("--rows", type=int,
+        click.option("--mu", type=float, default=SigmaConfig.mu),
+        click.option("--nu", type=float, default=SigmaConfig.nu),
+        click.option("--epsilon", type=float, default=SolveConfig.epsilon),
+        click.option("--alpha", type=float, default=SolveConfig.alpha),
+        click.option("--beta", type=float, default=SolveConfig.beta),
+        click.option("--zeta", type=float, default=SolveConfig.zeta),
+        click.option("--check-mode", "check_mode", type=click.Choice(CHECK_MODES),
+                     default=SigmaConfig.check_mode),
+        click.option("--freeze-operator", "freeze_operator", is_flag=True,
+                     default=SigmaConfig.freeze_operator),
+        click.option("--rows", type=int, default=BaselineConfig.rows,
                      help="Row-sample size (sub-sampled solver / subnewton / newsamp)."),
-        click.option("--rank", type=int, help="NewSamp truncation rank."),
-        click.option("--batch", type=int),
-        click.option("--sgd-t", "sgd_t", type=float),
-        click.option("--sgd-gamma", "sgd_gamma", type=float),
-        click.option("--xi1", type=float),
-        click.option("--xi2", type=float),
-        click.option("--huber-c", "huber_c", type=float),
-        click.option("--max-iter", "max_iter", type=int),
-        click.option("--max-seconds", "max_seconds", type=float),
-        click.option("--seed", type=int),
-        click.option("--out", type=click.Path()),
+        click.option("--rank", type=int, default=BaselineConfig.rank,
+                     help="NewSamp truncation rank."),
+        click.option("--batch", type=int, default=BaselineConfig.batch),
+        click.option("--sgd-t", "sgd_t", type=float, default=BaselineConfig.sgd_t),
+        click.option("--sgd-gamma", "sgd_gamma", type=float, default=BaselineConfig.sgd_gamma),
+        click.option("--xi1", type=float, default=Regularization.xi1),
+        click.option("--xi2", type=float, default=Regularization.xi2),
+        click.option("--huber-c", "huber_c", type=float, default=Regularization.c),
+        click.option("--max-iter", "max_iter", type=int, default=SolveConfig.max_iter),
+        click.option("--max-seconds", "max_seconds", type=float,
+                     default=SolveConfig.max_seconds),
+        click.option("--seed", type=int, default=SolveConfig.seed),
+        click.option("--out", type=click.Path(), default="out"),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -252,16 +223,12 @@ def cli():
 
 @cli.command()
 @_add_solve_options
-@click.option("--solver", type=click.Choice(SOLVERS))
-@click.pass_context
-def solve(ctx, config, **_kwargs):
+@click.option("--solver", type=click.Choice(SOLVERS), default="sigma")
+def solve(**p):
     """Run one solver on one dataset; writes trace.csv and summary.json."""
-    p = _merge_config(ctx, _SOLVE_DEFAULTS, config)
     try:
         ds, x_true, data_meta = _build_dataset(p)
-        model = _build_model(p, ds)
-        x0 = _resolve_x0(model, x_true)
-        result, cfg = _run_one(p, model, x0, p["solver"], p["seed"])
+        model, result, cfg = _run(p, ds, x_true, p["seed"])
     except click.ClickException:
         raise
     except Exception as exc:
@@ -284,22 +251,17 @@ def solve(ctx, config, **_kwargs):
               help="Comma-separated gap positions as fractions of N; runs the "
                    "multilevel solver once per value.")
 @click.option("--gnuplot", is_flag=True, default=False, help="Also emit plot.gp.")
-@click.pass_context
-def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
+def bench(**p):
     """Compare solvers on one dataset; writes one trace per solver plus
     comparison.csv and summary.md. Each distinct dataset is built once."""
-    defaults = {**_SOLVE_DEFAULTS, "solvers": solvers, "p_list": p_list}
-    p = _merge_config(ctx, defaults, config)
     out = Path(p["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     def _as_list(value, cast):
-        if isinstance(value, (list, tuple)):
-            return [cast(v) for v in value]
-        return [cast(tok.strip()) for tok in str(value).split(",") if tok.strip()]
+        return [cast(tok.strip()) for tok in value.split(",") if tok.strip()]
 
     entries = []  # (name, params dict)
-    if p.get("p_list"):
+    if p["p_list"]:
         for frac in _as_list(p["p_list"], float):
             gap_pos = max(1, min(p["N"], round(frac * p["N"])))
             entries.append((f"sigma[p={frac:g}N]", {**p, "p": gap_pos, "solver": "sigma"}))
@@ -307,18 +269,16 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
         for name in _as_list(p["solvers"], str):
             entries.append((name, {**p, "solver": name}))
 
-    datasets = {}  # each distinct dataset is built (its file parsed) once
+    # the entries differ only in p and the solver: a dataset is built (its
+    # file parsed) once per p
+    datasets = {}
     rows, summaries, failures = [], [], 0
     for idx, (name, ep) in enumerate(entries):
-        seed = ep["seed"] + idx
-        key = tuple(ep[k] for k in _DATASET_KEYS)
         try:
-            if key not in datasets:
-                datasets[key] = _build_dataset(ep)
-            ds, x_true, _ = datasets[key]
-            model = _build_model(ep, ds)
-            x0 = _resolve_x0(model, x_true)
-            result, _cfg = _run_one(ep, model, x0, ep["solver"], seed)
+            if ep["p"] not in datasets:
+                datasets[ep["p"]] = _build_dataset(ep)
+            ds, x_true, _ = datasets[ep["p"]]
+            _, result, _ = _run(ep, ds, x_true, ep["seed"] + idx)
         except Exception as exc:
             failures += 1
             summaries.append({"solver": name, "status": "error", "iterations": 0,
@@ -351,7 +311,7 @@ def bench(ctx, config, solvers, p_list, gnuplot, **_kwargs):
     (out / "summary.md").write_text("\n".join(lines) + "\n")
     (out / "bench_summary.json").write_text(json.dumps(summaries, indent=2) + "\n")
 
-    if gnuplot:
+    if p["gnuplot"]:
         traces = [s for s in summaries if "trace" in s]
         plot = ["set datafile separator ','", "set logscale y",
                 "set xlabel 'seconds'", "set ylabel 'gradient norm'", "set key outside"]
@@ -394,7 +354,17 @@ def datagen(m, N, p, gap, labels, noise, seed, out, **_kwargs):
 
 
 def main():
-    cli(prog_name="sigma-opt")
+    """The console script: a rejected flag or config value exits 1, like any
+    other error, not click's usage code 2, which means a spent budget here."""
+    try:
+        code = cli.main(prog_name="sigma-opt", standalone_mode=False)
+    except click.ClickException as exc:
+        exc.show()
+        sys.exit(1)
+    except click.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -95,14 +95,12 @@ def galerkin_system(
     restricted gradient (over every row, equal to ``point.g[S]`` up to
     rounding) and the curvature, which scales the block in place
     (:meth:`ObjectiveModel.reduced_system`); the full gradient is not formed.
-    The full operator takes ``point.g`` itself. ``op`` has validated its
-    indices, so they are not checked again.
+    With the full operator the gather is ``A`` itself and ``g`` equals
+    ``point.g`` bit for bit. ``op`` has validated its indices, so they are
+    not checked again.
     """
     if point is None:
         point = model.point(x)
-    if op.is_full:
-        q = model.reduced_hessian(x, op.indices, row_sample, w2=point.w2, checked=True)
-        return GalerkinSystem(q=q, g=point.g)
     q, g = model.reduced_system(x, op.indices, point, row_sample, checked=True)
     return GalerkinSystem(q=q, g=g)
 

@@ -98,6 +98,31 @@ class TestSGD:
         # full batch: lambda_hat column records ||grad||
         assert res.trace[0].lambda_hat == pytest.approx(res.trace[0].grad_norm, rel=1e-10)
 
+    @pytest.mark.parametrize("make", [random_gaussian_model, random_logistic_model,
+                                      random_poisson_model])
+    def test_glm_terms_once_per_point(self, gen, monkeypatch, make):
+        # the batch gradient reads the evaluated point's row weights, so the
+        # GLM terms are evaluated once per model.point and nowhere else
+        from sigma_opt import kernels
+        from sigma_opt.objectives import ObjectiveModel
+
+        calls = {"glm_terms": 0, "point": 0}
+
+        def counted(name, orig):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "glm_terms", counted("glm_terms", kernels.glm_terms))
+        monkeypatch.setattr(ObjectiveModel, "point", counted("point", ObjectiveModel.point))
+        model = make(gen)
+        x0 = feasible_start(model)
+        cfg = BaselineConfig(method="sgd", batch=5, sgd_t=0.01, epsilon=1e-14, max_iter=20, seed=4)
+        res = baseline_solve(model, x0, cfg)
+        assert res.iterations == 20
+        assert calls["glm_terms"] == calls["point"] > 20
+
 
 class TestSubNewton:
     def test_full_sample_identical_to_newton(self, gen):

@@ -403,3 +403,77 @@ def test_openblas_num_threads_pins_every_pool(tmp_path):
     found = json.loads(res.stdout.splitlines()[-1])
     assert found["paths"] and sorted(found["counts"]) == found["paths"], found
     assert set(found["counts"].values()) == {1}, found
+
+
+class TestConfigValues:
+    """YAML values are click defaults: converted and checked like flags."""
+
+    _BASE = "data: synthetic\nm: 40\nN: 20\np: 4\nseed: 1\nmax_iter: 50\n"
+
+    def _config(self, tmp_path, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(self._BASE + text)
+        return cfg
+
+    def test_float_in_exponent_form(self, runner, tmp_path):
+        # PyYAML reads 1e-8 (no dot) as a string
+        out = tmp_path / "o"
+        cfg = self._config(tmp_path, f"epsilon: 1e-8\nout: {out}\n")
+        res = runner.invoke(cli, ["solve", "--config", str(cfg)])
+        assert res.exit_code in (0, 2), res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["epsilon"] == 1e-8
+        assert summary["solver_config"]["epsilon"] == 1e-8
+
+    def test_quoted_int(self, runner, tmp_path):
+        out = tmp_path / "o"
+        cfg = self._config(tmp_path, f'n: "5"\nout: {out}\n')
+        res = runner.invoke(cli, ["solve", "--config", str(cfg)])
+        assert res.exit_code in (0, 2), res.output
+        assert json.loads((out / "summary.json").read_text())["solver_config"]["n"] == 5
+
+    def test_bench_gnuplot_key(self, runner, tmp_path):
+        out = tmp_path / "o"
+        cfg = self._config(tmp_path, f"solvers: sigma,gd\ngnuplot: true\nout: {out}\n")
+        res = runner.invoke(cli, ["bench", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert "trace_gd.csv" in (out / "plot.gp").read_text()
+
+    def test_bad_choice_rejected_like_a_flag(self, runner, tmp_path):
+        cfg = self._config(tmp_path, "model: poisonn\n")
+        res = runner.invoke(cli, ["solve", "--config", str(cfg)])
+        assert res.exit_code != 0
+        assert "Invalid value for '--model'" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize(("text", "solvers"), [
+        ("solvers: [sigma, gd]\n", {"sigma", "gd"}),
+        ("p_list: [0.2, 0.5]\n", {"sigma[p=0.2N]", "sigma[p=0.5N]"}),
+    ])
+    def test_list_values(self, runner, tmp_path, text, solvers):
+        out = tmp_path / "o"
+        cfg = self._config(tmp_path, f"{text}out: {out}\n")
+        res = runner.invoke(cli, ["bench", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        summaries = json.loads((out / "bench_summary.json").read_text())
+        assert {s["solver"] for s in summaries} == solvers
+        assert all(s["status"] != "error" for s in summaries)
+
+    def test_solve_accepts_bench_keys(self, runner, tmp_path):
+        # one file serves both commands; solve ignores bench's keys
+        out = tmp_path / "o"
+        cfg = self._config(tmp_path, f"solvers: [sigma, gd]\np_list: 0.5\ngnuplot: true\n"
+                                     f"out: {out}\n")
+        res = runner.invoke(cli, ["solve", "--config", str(cfg)])
+        assert res.exit_code in (0, 2), res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["solver"] == "sigma"
+        assert not {"solvers", "p_list", "gnuplot"} & set(summary["config"])
+
+
+def test_console_script_usage_error_exits_1():
+    # exit 2 means a spent budget; a rejected flag is an error
+    res = subprocess.run([sys.executable, "-m", "sigma_opt", "solve", "--data", "synthetic",
+                          "--model", "poisonn"], capture_output=True, text=True)
+    assert res.returncode == 1, res.stderr
+    assert "Invalid value for '--model'" in res.stderr
