@@ -249,11 +249,14 @@ def solve(**p):
               help="Comma-separated solver list (ignored when --p-list is given).")
 @click.option("--p-list", "p_list", default=None,
               help="Comma-separated gap positions as fractions of N; runs the "
-                   "multilevel solver once per value.")
+                   "multilevel solver once per value (--data synthetic only).")
 @click.option("--gnuplot", is_flag=True, default=False, help="Also emit plot.gp.")
 def bench(**p):
     """Compare solvers on one dataset; writes one trace per solver plus
     comparison.csv and summary.md. Each distinct dataset is built once."""
+    if p["p_list"] and p["data"] != "synthetic":
+        raise click.ClickException("--p-list needs --data synthetic: p sets the synthetic "
+                                   "matrix's gap position and does nothing to file data")
     out = Path(p["out"])
     out.mkdir(parents=True, exist_ok=True)
 

@@ -104,8 +104,8 @@ def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndar
 
     * gaussian: ``b = A x_true + sigma_noise * eps``.
     * poisson: ``x_true`` is searched (least squares against positive targets,
-      up to 100 tries) so all margins are positive, then ``b_i = max(1,
-      Poisson(a_i^T x_true))``.
+      up to 100 tries sharing one factorization of ``A``, then an LP) so all
+      margins are positive, then ``b_i = max(1, Poisson(a_i^T x_true))``.
     * logistic: ``b_i = sign(a_i^T x_true + sigma_noise * eps)`` in {-1, +1}.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -165,15 +165,42 @@ def _positive_margin_vector(A: np.ndarray, gen: np.random.Generator, tries: int)
     Least squares against positive targets works when the column span is wide
     (m <= N); otherwise the feasibility cone is thin and an exact LP decides
     it, returning the most-interior direction so the margins stay comparable.
+
+    The first target is all ones. If it fails, one thin SVD of ``A`` gives the
+    range ``lstsq`` projects onto, and a later target ``u`` whose projection
+    ``P u`` has a clearly negative entry skips its exact solve, which could
+    not succeed. Every try still draws its target, so the result and ``gen``'s
+    state are those of one ``lstsq`` per try.
     """
     m = A.shape[0]
     u = np.ones(m)
-    for _ in range(tries):
-        x, *_ = np.linalg.lstsq(A, u, rcond=None)
-        if float((A @ x).min()) > 0:
-            return x
+    basis = None  # of the range lstsq fits A x in, once the first try has failed
+    for k in range(tries):
+        if k == 1:
+            basis, tol = _lstsq_range(A)
+        if basis is None or (basis @ (basis.T @ u)).min() >= -tol * np.linalg.norm(u):
+            x, *_ = np.linalg.lstsq(A, u, rcond=None)
+            if float((A @ x).min()) > 0:
+                return x
         u = 1.0 + np.abs(gen.standard_normal(m))
     return _max_min_margin(A)
+
+
+def _lstsq_range(A: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(U_r, tol)``: the left singular vectors of ``A`` above gelsd's cutoff
+    ``eps * max(m, N) * s_max``, which span the range ``lstsq(A, u,
+    rcond=None)`` fits ``A x`` in, and a bound on ``|A x - U_r U_r^T u| /
+    ||u||``, 1e4 times its rounding scale ``eps * s_max / s_r`` (on 400x200
+    draws the gap is about 4e-14, ``tol`` 4e-9). ``U_r`` is None when a
+    singular value lies within 2x of the cutoff, on either side of which
+    rounding could put it."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    eps = np.finfo(np.float64).eps
+    cutoff = eps * max(A.shape) * s[0]
+    r = int(np.count_nonzero(s > cutoff))
+    if r == 0 or np.any((s > cutoff / 2) & (s < 2 * cutoff)):
+        return None, 0.0
+    return U[:, :r], 1e4 * eps * s[0] / s[r - 1]
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,16 @@ class TestBench:
         assert len(summaries) == (3 if builds == 1 else 2)
         assert all(s["status"] != "error" for s in summaries)
 
+    def test_p_list_rejected_for_file_data(self, runner, tmp_path):
+        # p places the synthetic matrix's spectral gap; a file has no p to sweep
+        runner.invoke(cli, ["datagen", "--m", "30", "--N", "10", "--p", "3",
+                            "--labels", "gaussian", "--out", str(tmp_path)])
+        res = runner.invoke(cli, ["bench", "--data", str(tmp_path / "data.libsvm"),
+                                  "--p-list", "0.2,0.5,0.8", "--out", str(tmp_path / "b")])
+        assert res.exit_code == 1
+        assert "--p-list needs --data synthetic" in res.output
+        assert not (tmp_path / "b").exists()
+
     def test_all_fail_exit_1(self, runner, tmp_path):
         res = runner.invoke(
             cli,

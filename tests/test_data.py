@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import positive_poisson_instance
+
 from sigma_opt import (
     Dataset,
     LabelSpec,
@@ -264,6 +266,87 @@ class TestSynthLabels:
         b1, x1 = synth_labels(A, LabelSpec("gaussian", sigma_noise=0.5, seed=6), RngState(6))
         b2, x2 = synth_labels(A, LabelSpec("gaussian", sigma_noise=0.5, seed=6), RngState(6))
         assert np.array_equal(b1, b2) and np.array_equal(x1, x2)
+
+
+def _one_lstsq_per_try(A, gen, tries):
+    """The search with an exact least-squares solve on every try: the
+    reference for the screened search in ``data._positive_margin_vector``."""
+    m = A.shape[0]
+    u = np.ones(m)
+    for _ in range(tries):
+        x, *_ = np.linalg.lstsq(A, u, rcond=None)
+        if float((A @ x).min()) > 0:
+            return x
+        u = 1.0 + np.abs(gen.standard_normal(m))
+    return data._max_min_margin(A)
+
+
+def _gap_draw(m, N, p, seed):
+    """A spectral-gap matrix and the generator ``synth_labels`` draws its
+    Poisson targets from, with label seed = data seed + 1."""
+    A = svd_gap_matrix(SvdGapSpec(m=m, N=N, p=p, gap=100.0, seed=seed), RngState(seed))
+    return A, lambda: RngState(seed + 1).child()
+
+
+def _duplicated_columns():
+    B = np.random.default_rng(9).standard_normal((60, 10))
+    return np.hstack([B, B[:, :3]]), lambda: RngState(1).child()
+
+
+def _ambiguous_rank():
+    # the smallest singular value is 1.5x gelsd's cutoff 40 eps, so rounding
+    # could put it on either side: no try is screened
+    Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((40, 5)))
+    A = Q * np.array([1.0, 1.0, 1.0, 1.0, 60 * np.finfo(np.float64).eps])
+    return A, lambda: RngState(1).child()
+
+
+def _positive_poisson_features():
+    model, _ = positive_poisson_instance()
+    return model.dataset.A, lambda: RngState(78).child()
+
+
+MARGIN_CASES = {
+    "c09": lambda: _gap_draw(400, 200, 40, 2),  # every try fails; the LP decides
+    "gap-seed-8": lambda: _gap_draw(400, 200, 40, 8),
+    "gap-seed-11": lambda: _gap_draw(400, 200, 40, 11),
+    "normal-24x20": lambda: (np.random.default_rng(4).standard_normal((24, 20)),
+                             lambda: RngState(5).child()),  # accepted on try 14
+    "normal-13x10": lambda: (np.random.default_rng(4).standard_normal((13, 10)),
+                             lambda: RngState(5).child()),  # accepted on try 26
+    "wide-30x60": lambda: _gap_draw(30, 60, 5, 3),  # accepted on try 0
+    "positive-features": _positive_poisson_features,
+    "duplicated-columns": _duplicated_columns,  # rank-deficient
+    "infeasible": lambda: (np.array([[1.0, 0.0], [-1.0, 0.0]]), lambda: RngState(3).child()),
+    "zero-matrix": lambda: (np.zeros((5, 3)), lambda: RngState(3).child()),  # rank 0
+    "ambiguous-rank": _ambiguous_rank,
+}
+
+
+class TestPositiveMarginSearch:
+    @pytest.mark.parametrize("case", MARGIN_CASES)
+    def test_same_bits_and_generator_state_as_one_lstsq_per_try(self, case):
+        A, make_gen = MARGIN_CASES[case]()
+        gen_ref, gen = make_gen(), make_gen()
+        want = _one_lstsq_per_try(A, gen_ref, 100)
+        got = data._positive_margin_vector(A, gen, 100)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
+        assert gen.bit_generator.state == gen_ref.bit_generator.state
+
+    def test_acceptance_draw_factors_a_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _orig=np.linalg.lstsq, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        A, _ = _gap_draw(400, 200, 40, 2)
+        synth_labels(A, LabelSpec("poisson", seed=3), RngState(3))
+        assert len(calls) <= 2
 
 
 class TestStandardize:

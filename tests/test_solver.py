@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -465,6 +466,30 @@ def test_singular_reduced_block_converges_without_ascent():
     assert res.status == "converged"
     fs = [r.f for r in res.trace]
     assert all(b <= a for a, b in zip(fs, fs[1:]))
+
+
+@pytest.mark.parametrize("margin", [1e-12, 1e-14])
+@pytest.mark.parametrize("mode", [ALWAYS_COARSE, FULL_DECREMENT])
+def test_poisson_start_with_a_margin_near_zero(margin, mode, caplog):
+    # the smallest margin of the ground truth moved to ~margin: that row's
+    # curvature weight b / z^2 is ~1e24 or more, so the reduced blocks that
+    # sample it are numerically singular and the Cholesky shift carries the run
+    model, x_true = positive_poisson_instance()
+    A = model.dataset.A
+    z = A @ x_true
+    i = int(np.argmin(z))
+    x0 = x_true - (z[i] - margin) * A[i] / (A[i] @ A[i])
+    z0 = A @ x0
+    assert 0 < z0.min() == z0[i] < 2 * margin
+    point = model.point(x0)
+    assert all(np.all(np.isfinite(v)) for v in (point.f, point.w1, point.w2, point.g))
+    with caplog.at_level(logging.WARNING, logger="sigma_opt.core"):
+        res = sigma_solve(model, x0, SigmaConfig(n=25, epsilon=1e-12, seed=1, check_mode=mode))
+    assert res.status == "converged"
+    fs = np.array([r.f for r in res.trace])
+    assert np.all(np.isfinite(fs)) and np.all(np.diff(fs) <= 0)
+    assert any("diagonal shift" in r.getMessage() for r in caplog.records
+               if r.name == "sigma_opt.core" and r.levelno == logging.WARNING)
 
 
 def test_timeout_status(gen):
