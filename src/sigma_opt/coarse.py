@@ -32,23 +32,22 @@ class CoarseOperator:
     def n(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def is_full(self) -> bool:
-        return self.n == self.fine_dim
-
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Reduced curvature ``Q_H`` and reduced gradient ``R grad f``."""
+    """Reduced curvature ``Q_H`` and reduced gradient ``R grad f``, with the
+    Gram's scaled block ``(B, s)`` for the step's ``A d`` when it has one."""
 
     q: np.ndarray
     g: np.ndarray
+    scaled: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class CoarseStep(NamedTuple):
     d_coarse: np.ndarray  # length n
     d_hat: np.ndarray  # length N, the prolonged direction
     lambda_hat: float
+    dz: np.ndarray | None = None  # A d_hat from the scaled block, if the system had it
 
 
 class NewtonStep(NamedTuple):
@@ -95,25 +94,37 @@ def galerkin_system(
     restricted gradient (over every row, equal to ``point.g[S]`` up to
     rounding) and the curvature, which scales the block in place
     (:meth:`ObjectiveModel.reduced_system`); the full gradient is not formed.
+    The system keeps that scaled block for :func:`coarse_direction` unless
+    rows are sampled or a row's scale is below ``kernels.SCALE_FLOOR``.
     With the full operator the gather is ``A`` itself and ``g`` equals
     ``point.g`` bit for bit. ``op`` has validated its indices, so they are
     not checked again.
     """
     if point is None:
         point = model.point(x)
-    q, g = model.reduced_system(x, op.indices, point, row_sample, checked=True)
-    return GalerkinSystem(q=q, g=g)
+    q, g, scaled = model.reduced_system(x, op.indices, point, row_sample, checked=True)
+    return GalerkinSystem(q=q, g=g, scaled=scaled)
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
-    """Solve the reduced system and prolong.
+    """Solve the reduced system and prolong; consumes ``sys``.
 
+    ``sys.q`` is factored in place and holds its Cholesky factor afterwards.
     ``lambda_hat = sqrt(-g^T d_coarse)``; the negative-rounding case is clamped
     to zero. With the full operator this is exactly the Newton direction.
+    The step's margins ``dz = A[:, S] d_coarse`` are ``(B d_coarse) / s`` from
+    the system's scaled block, or None when it has none.
     """
-    d_coarse = spd_solve(sys.q, -sys.g)
+    # q is exactly symmetric, so q.T is the same matrix in column-major order,
+    # which dpotrf factors in place, without a transposing copy
+    d_coarse = spd_solve(sys.q.T, -sys.g, overwrite_a=True)
     lam_sq = -float(sys.g @ d_coarse)
-    return CoarseStep(d_coarse, prolong(op, d_coarse), float(np.sqrt(max(lam_sq, 0.0))))
+    dz = None
+    if sys.scaled is not None:
+        block, s = sys.scaled
+        dz = block @ d_coarse
+        dz /= s
+    return CoarseStep(d_coarse, prolong(op, d_coarse), float(np.sqrt(max(lam_sq, 0.0))), dz)
 
 
 def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None) -> NewtonStep:

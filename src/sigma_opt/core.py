@@ -21,18 +21,24 @@ DECREMENT_SQ_LIMIT = DECREMENT_LIMIT**2
 logger = logging.getLogger(__name__)
 
 
-def spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(A: np.ndarray, rhs: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Solve ``A x = rhs`` for symmetric positive definite ``A``.
 
     ``rhs`` is a vector or a matrix of right-hand sides. Factors ``A`` with
     LAPACK's ``dpotrf`` (lower triangle) and solves with ``dpotrs``, bound
     once at import: the same calls, and so the same bits, as
     ``scipy.linalg.cho_solve(cho_factor(A, lower=True), rhs)``, without the
-    wrappers' per-call dispatch. Neither input is modified. If the
-    factorization fails, it retries once with the diagonal shifted by
+    wrappers' per-call dispatch. ``rhs`` is not modified, and ``A`` is not
+    either unless ``overwrite_a`` is set (scipy's name). Then ``A`` must be
+    exactly symmetric, and a column-major ``A`` is factored in place: its
+    lower triangle holds the factor afterwards. If the factorization
+    fails, it retries once with the diagonal shifted by
     ``1e-10 * (1 + max diag)`` and logs the shift at WARNING -- a PD matrix
     that fails to factor is a conditioning artifact, and a tiny shift fixes
-    it without masking genuinely indefinite inputs.
+    it without masking genuinely indefinite inputs. The retry factors the
+    original matrix: ``dpotrf`` writes only the lower triangle, so an
+    overwritten ``A`` is rebuilt from its strict upper triangle and the
+    diagonal saved before the first attempt.
 
     Raises
     ------
@@ -51,8 +57,13 @@ def spd_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise InvalidDimensions(f"matrix order {A.shape[0]} != rhs length {rhs.shape[0]}")
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    c, info = _potrf(A, lower=1, clean=0)
+    diag = np.diagonal(A).copy() if overwrite_a else None
+    c, info = _potrf(A, lower=1, clean=0, overwrite_a=overwrite_a)
     if info > 0:
+        if overwrite_a:  # the failed attempt wrote the lower triangle
+            A = np.triu(A, 1)
+            A += A.T
+            np.fill_diagonal(A, diag)
         shift = 1e-10 * (1.0 + float(np.max(np.diagonal(A))))
         logger.warning("Cholesky failed at leading minor %d; retrying with diagonal shift %.3e",
                        info, shift)

@@ -310,6 +310,8 @@ def _libsvm_tokens(path):
                     raise ParseError(f"bad feature token {tok!r}", line=lineno) from exc
                 if idx < 1:
                     raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
+                if idx >= 2**63:
+                    raise ParseError(f"index {idx} does not fit in int64", line=lineno)
                 if idx <= prev:
                     raise NonAscendingIndexError(f"index {idx} not ascending (previous {prev})",
                                                  line=lineno)

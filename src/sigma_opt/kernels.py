@@ -13,7 +13,8 @@ Two kernel families dominate a solver iteration:
   result is exactly symmetric with no mirror step. ``A`` is never modified,
   and a row- or column-major ``A`` gives the same bits. The same column
   gather can also give ``A[:, cols]^T v`` over every row for a row vector
-  ``v``: SIGMA's restricted gradient.
+  ``v``, SIGMA's restricted gradient, and hand back the scaled block, from
+  which the coarse step's ``A[:, cols] d`` follows without a second gather.
 """
 
 import numpy as np
@@ -56,6 +57,13 @@ def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     return _TERMS[kind](z, b)
 
 
+# Smallest row scale sqrt(w) at which the scaled block is handed back: above
+# it, B = A[:, cols] * sqrt(w) and the products B d stay in the normal range
+# for any |a_ij d_j| above 2^-766, so dividing by sqrt(w) recovers A[:, cols] d
+# to rounding. A logistic row's w is exactly 0 once its b z is below about -37.
+SCALE_FLOOR = 2.0**-256
+
+
 def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
     """``sum_{i in rows} w[i] * A[i, cols] A[i, cols]^T`` as an exactly symmetric matrix.
 
@@ -63,17 +71,27 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
     nonnegative: rows are scaled by ``sqrt(w)``. Given a pair ``(w, v)`` of
     row vectors instead, it returns ``(gram, A[:, cols]^T v)``: the product
     runs over every row, from the gathered columns before any row is dropped
-    or scaled, so one column gather serves both.
+    or scaled, so one column gather serves both. A triple ``(w, v, True)``
+    adds a third item, ``(B, s)``: the block the syrk read and left intact,
+    ``B = A[:, cols] * s[:, None]`` with ``s = sqrt(w)``, so that
+    ``(B @ d) / s`` is ``A[:, cols] @ d`` to rounding. It is None unless every
+    row is kept and ``min(s) >= SCALE_FLOOR``.
     """
-    w, v = w if isinstance(w, tuple) else (w, None)
+    w, v, *keep = w if isinstance(w, tuple) else (w, None)
     block = A if cols.shape[0] == A.shape[1] else A[:, cols]
     product = None if v is None else block.T @ v
     if rows.shape[0] < A.shape[0]:
         block, w = block[rows], w[rows]
+    s = np.sqrt(w)
     if block is A:  # A is never modified
-        block = A * np.sqrt(w)[:, None]
+        block = A * s[:, None]
     else:
-        block *= np.sqrt(w)[:, None]
-    # the square roots are freed before the syrk allocates the result
+        block *= s[:, None]
+    usable = keep and rows.shape[0] == A.shape[0] and float(s.min()) >= SCALE_FLOOR
+    scaled = (block, s) if usable else None
+    # unless kept, the square roots are freed before the syrk allocates the result
+    del s
     gram = block.T @ block
-    return gram if v is None else (gram, product)
+    if v is None:
+        return gram
+    return (gram, product, scaled) if keep else (gram, product)

@@ -261,18 +261,20 @@ class ObjectiveModel:
 
     def reduced_system(self, x: np.ndarray, S: np.ndarray, point: Point,
                        row_sample: np.ndarray | None = None, *,
-                       checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q, g_S)`` at ``point``: :meth:`reduced_hessian` and the gradient on
-        ``S`` over every row (``point.g[S]`` up to rounding), in O(m n^2)
-        without the full ``A^T w1``. Both come from one gather of ``A[:, S]``;
-        with ``row_sample`` the curvature keeps only the sampled rows of it.
+                       checked: bool = False):
+        """``(Q, g_S, scaled)`` at ``point``: :meth:`reduced_hessian`, the
+        gradient on ``S`` over every row (``point.g[S]`` up to rounding) and
+        the Gram's scaled block ``(B, s)`` (:func:`kernels.gram_gather`), in
+        O(m n^2) without the full ``A^T w1``. All three come from one gather of
+        ``A[:, S]``; with ``row_sample`` the curvature keeps only the sampled
+        rows of it and ``scaled`` is None.
         """
         if not checked:
             S = _check_index_set(S, self.dataset.N)
         rows = self._rows(row_sample)
-        q, bw = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
+        q, bw, scaled = kernels.gram_gather(self.dataset.A, (point.w2, point.w1, True), S, rows)
         q = self._hessian_block(q, x, S, rows.shape[0])
-        return q, self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S])
+        return q, self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S]), scaled
 
     def _rows(self, row_sample: np.ndarray | None) -> np.ndarray:
         m = self.dataset.m

@@ -410,7 +410,7 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
         rows = sample_without_replacement(m, cfg.row_sample, rng) if sample_rows else None
         system = galerkin_system(model, x, op, rows, point=point)
         step = coarse_direction(system, op)
-        # the reduced curvature goes before any fine step
+        # the reduced curvature and the scaled block go before any fine step
         g_reduced = system.g
         del system
         lam: Optional[float] = None
@@ -420,9 +420,10 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
         g = point.g if cfg.check_mode == EUCLIDEAN_PROXY else None
         chosen = direction_select(step.lambda_hat, lam, g, g_reduced, cfg)
         if chosen == COARSE:
-            # A d from the sampled columns in O(m n), a contiguous gather;
-            # the slope g^T d is g_S^T d_coarse, so the step needs no full g
-            dz = model.dataset.A[:, op.indices] @ step.d_coarse
+            # A d from the Gram's scaled block, else from the sampled columns
+            # in O(m n), a contiguous gather; the slope g^T d is
+            # g_S^T d_coarse, so the step needs no full g
+            dz = step.dz if step.dz is not None else model.dataset.A[:, op.indices] @ step.d_coarse
             return Direction(step.d_hat, step.lambda_hat * step.lambda_hat, step.lambda_hat, lam,
                              COARSE, dz=dz, slope=float(g_reduced @ step.d_coarse))
         if d_fine is None:  # the step's Ray forms A d

@@ -35,7 +35,7 @@ class TestOperator:
     def test_full_when_n_equals_N(self):
         op = build_operator(6, 6, RngState(0))
         assert op.indices.tolist() == list(range(6))
-        assert op.is_full
+        assert op.n == op.fine_dim
 
     def test_matches_core_golden_subset(self):
         op = build_operator(4, 2, RngState(42))
@@ -179,8 +179,9 @@ class TestCoarseDirection:
             x = gen.standard_normal(10)
             op = build_operator(10, 4, rng)
             sys = galerkin_system(model, x, op)
+            q = sys.q.copy()  # coarse_direction factors sys.q in place
             step = coarse_direction(sys, op)
-            via_quad = np.sqrt(step.d_coarse @ sys.q @ step.d_coarse)
+            via_quad = np.sqrt(step.d_coarse @ q @ step.d_coarse)
             assert step.lambda_hat == pytest.approx(via_quad, rel=1e-8, abs=1e-12)
 
     def test_descent_direction(self, gen):

@@ -72,6 +72,45 @@ class TestSpdSolve:
         spd_solve(A, rhs)
         assert np.array_equal(A, A_before) and np.array_equal(rhs, rhs_before)
 
+    @pytest.mark.parametrize("rank", [60, 20])  # 20 < 60 takes the shifted retry
+    def test_in_place_factor_same_bits_as_intact_copy(self, rank, gen, caplog):
+        # the Galerkin matrix is exactly symmetric: its transpose is the same
+        # matrix in column-major order, which dpotrf factors without a copy
+        M = gen.standard_normal((rank, 60))
+        A = M.T @ M
+        rhs = gen.standard_normal(60)
+        with caplog.at_level(logging.WARNING, logger="sigma_opt.core"):
+            expected = spd_solve(A.copy(), rhs)
+            work = A.copy()
+            x = spd_solve(work.T, rhs, overwrite_a=True)
+        assert np.array_equal(x, expected)
+        assert len(caplog.records) == (2 if rank < 60 else 0)
+        if rank == 60:  # the lower triangle of work.T holds the factor
+            L = np.tril(work.T)
+            np.testing.assert_allclose(L @ L.T, A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+        # dpotrf writes only the lower triangle
+        assert np.array_equal(np.triu(work.T, 1), np.triu(A, 1))
+
+    def test_in_place_shift_retry_factors_the_original_matrix(self, gen, monkeypatch):
+        from sigma_opt import core
+
+        M = gen.standard_normal((4, 8))
+        A = M.T @ M  # rank 4 < 8: the first factorization fails part way
+        factored = []
+
+        def spy(a, *args, _orig=core._potrf, **kwargs):
+            factored.append(np.array(a))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_potrf", spy)
+        work = A.copy()
+        spd_solve(work.T, gen.standard_normal(8), overwrite_a=True)
+        assert not np.array_equal(work, A)  # the failed attempt wrote its lower triangle
+        shift = 1e-10 * (1.0 + float(np.max(np.diagonal(A))))
+        assert len(factored) == 2
+        assert np.array_equal(factored[0], A)
+        assert np.array_equal(factored[1], A + shift * np.eye(8))
+
     @pytest.mark.parametrize("where", ["lower", "upper", "rhs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, where, bad):

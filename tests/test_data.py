@@ -437,6 +437,18 @@ class TestLibsvmPaths:
         p.write_text(f"1 1:2 {index}:3\n")
         _assert_same_as_token_path(p, n_features=3)
 
+    @pytest.mark.parametrize("sep", [" ", "\t"])  # a canonical line, and one that is not
+    def test_index_beyond_int64_is_a_parse_error(self, tmp_path, sep):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:2\n-1 1:2{sep}{2**63}:3\n")
+        with pytest.raises(ParseError, match="int64") as err:
+            load_libsvm(p, n_features=3)
+        assert err.value.line == 2
+        _assert_same_as_token_path(p, n_features=3)
+        p.write_text(f"1 1:2\n-1 1:2{sep}{2**63 - 1}:3\n")
+        with pytest.raises(InvalidDimensions, match="n_features=3"):
+            load_libsvm(p, n_features=3)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["1", "-1", "0", "2.5", "3"]),
                               st.lists(st.integers(1, 12), max_size=5, unique=True),

@@ -62,6 +62,55 @@ def test_gram_pair_product_runs_over_every_row(layout, gen):
     assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
 
 
+def _glm_rows(kind, gen, m, N):
+    """A, w1 and w2 at the margins of a random x, positive for Poisson."""
+    if kind == "poisson":
+        A = gen.uniform(0.1, 1.1, (m, N))
+        z = A @ gen.uniform(0.5, 1.5, N)
+        b = gen.poisson(z).astype(float) + 1.0
+    else:
+        A = gen.standard_normal((m, N))
+        z = A @ gen.standard_normal(N)
+        b = gen.standard_normal(m) if kind == "gaussian" else np.sign(gen.standard_normal(m))
+    _, w1, w2 = kernels.glm_terms(kind, z, b)
+    return A, w1, w2
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "poisson"])
+def test_scaled_block_gives_the_step_margins(kind, layout, gen):
+    # (B d) / s from the block the syrk read, in place of a second gather A[:, cols] d
+    m, N, n = 300, 40, 12
+    A, w1, w2 = _glm_rows(kind, gen, m, N)
+    A = layout(A)
+    cols = np.sort(gen.choice(N, size=n, replace=False)).astype(np.int64)
+    rows = np.arange(m, dtype=np.int64)
+    gram, product, (B, s) = kernels.gram_gather(A, (w2, w1, True), cols, rows)
+    assert np.array_equal(gram, kernels.gram_gather(A, w2, cols, rows))
+    assert np.array_equal(product, A[:, cols].T @ w1)
+    for _ in range(5):
+        d = gen.standard_normal(n)
+        dz = B @ d
+        dz /= s
+        expected = A[:, cols] @ d
+        assert np.all(np.abs(dz - expected) <= 1e-14 * (np.abs(A[:, cols]) @ np.abs(d)))
+        assert np.max(np.abs(dz - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("case", ["row_subset", "zero_weight", "below_floor"])
+def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
+    m, N = 50, 10
+    A, w = gen.standard_normal((m, N)), np.abs(gen.standard_normal(m))
+    cols, rows = np.array([1, 4, 7], dtype=np.int64), np.arange(m, dtype=np.int64)
+    if case == "row_subset":
+        rows = rows[::2]
+    else:
+        w[17] = 0.0 if case == "zero_weight" else (0.5 * kernels.SCALE_FLOOR) ** 2
+    gram, product, scaled = kernels.gram_gather(A, (w, gen.standard_normal(m), True), cols, rows)
+    assert scaled is None
+    assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
+
+
 def test_logistic_terms_stable_at_extreme_margins():
     z = np.array([800.0, -800.0, 35.0, -35.0])
     b = np.array([1.0, 1.0, -1.0, -1.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -729,3 +730,82 @@ def test_iterate_out_of_domain_ends_the_run(monkeypatch):
     assert res.message.startswith("Poisson margin min a_i^T x = ")
     assert len(accepted) == len(res.trace) > 1
     assert np.array_equal(res.x_final, accepted[-1])
+
+
+def _record_coarse_steps(monkeypatch):
+    """Per step: the coarse operator, its :class:`CoarseStep` and the ``dz``
+    the step's Ray was given."""
+    from sigma_opt import solver
+
+    steps, rays = [], []
+
+    def direction(sys, op, _orig=solver.coarse_direction):
+        step = _orig(sys, op)
+        steps.append((op, step))
+        return step
+
+    def ray(point, d, dz=None, _orig=Ray):
+        rays.append(dz)
+        return _orig(point, d, dz=dz)
+
+    monkeypatch.setattr(solver, "coarse_direction", direction)
+    monkeypatch.setattr(solver, "Ray", ray)
+    return steps, rays
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "poisson"])
+def test_coarse_step_margins_come_from_the_scaled_block(kind, layout, gen, monkeypatch):
+    if kind == "poisson":
+        model, x0 = positive_poisson_instance(m=80, N=20)
+    else:
+        model = (random_gaussian_model if kind == "gaussian" else random_logistic_model)(
+            gen, m=60, N=20, reg=Regularization(xi2=1e-3))
+        x0 = np.zeros(20)
+    A = layout(model.dataset.A)
+    model = make_objective(kind, Dataset(A, model.dataset.b), model.reg)
+    steps, rays = _record_coarse_steps(monkeypatch)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, epsilon=1e-30, max_iter=20, seed=1))
+    assert res.iterations == len(rays) == 20
+    for (op, step), dz in zip(steps, rays):
+        assert dz is step.dz is not None
+        block = A[:, op.indices]
+        bound = 1e-14 * (np.abs(block) @ np.abs(step.d_coarse))
+        assert np.all(np.abs(dz - block @ step.d_coarse) <= bound)
+
+
+@pytest.mark.parametrize("case", ["saturated_logistic", "row_sample"])
+def test_fallback_gather_gives_the_same_step_margins(case, gen, monkeypatch):
+    # rows with b z < -37 have w2 == 0, so the scaled block cannot give back
+    # their A d; a row-sampled block lacks rows. Both gather A[:, S] again.
+    model = random_logistic_model(gen, m=60, N=20, reg=Regularization(xi2=1e-3))
+    x0, row_sample = 25.0 * gen.standard_normal(20), None
+    if case == "row_sample":
+        x0, row_sample = np.zeros(20), 30
+    else:
+        assert float(model.point(x0).w2.min()) == 0.0
+    steps, rays = _record_coarse_steps(monkeypatch)
+    res = sigma_solve(model, x0, SigmaConfig(n=5, row_sample=row_sample, epsilon=1e-30,
+                                             max_iter=10, seed=1))
+    assert res.iterations == len(rays) == 10
+    fallbacks = list(zip(steps, rays)) if case == "row_sample" else [(steps[0], rays[0])]
+    for (op, step), dz in fallbacks:
+        assert step.dz is None
+        assert np.array_equal(dz, model.dataset.A[:, op.indices] @ step.d_coarse)
+
+
+def test_solve_memory_holds_one_block_and_factors_in_place():
+    # the scaled m x n block is held until the direction is solved; beside it
+    # the n x n Galerkin matrix is factored in place. A factor copy, or a
+    # second block, would cross 8 (m n + 2 n^2) bytes.
+    m, N, n = 400, 200, 100
+    model, x0 = positive_poisson_instance(m=m, N=N)
+    cfg = SigmaConfig(n=n, epsilon=1e-30, max_iter=5, seed=0)
+    tracemalloc.start()
+    try:
+        res = sigma_solve(model, x0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 5
+    assert peak < 8 * (m * n + 2 * n * n)
