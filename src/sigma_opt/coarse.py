@@ -113,7 +113,10 @@ def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
     ``lambda_hat = sqrt(-g^T d_coarse)``; the negative-rounding case is clamped
     to zero. With the full operator this is exactly the Newton direction.
     The step's margins ``dz = A[:, S] d_coarse`` are ``(B d_coarse) / s`` from
-    the system's scaled block, or None when it has none.
+    the system's scaled block, or None when it has none. That O(m n) product
+    runs before the caller picks a direction, so it is also paid on iterations
+    that then take the fine one; forming it here lets the block be freed
+    before the fine direction allocates its N x N Hessian.
     """
     # q is exactly symmetric, so q.T is the same matrix in column-major order,
     # which dpotrf factors in place, without a transposing copy

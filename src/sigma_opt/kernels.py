@@ -69,15 +69,15 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
 
     ``cols`` and ``rows`` are strictly increasing index arrays. ``w`` must be
     nonnegative: rows are scaled by ``sqrt(w)``. Given a pair ``(w, v)`` of
-    row vectors instead, it returns ``(gram, A[:, cols]^T v)``: the product
-    runs over every row, from the gathered columns before any row is dropped
-    or scaled, so one column gather serves both. A triple ``(w, v, True)``
-    adds a third item, ``(B, s)``: the block the syrk read and left intact,
+    row vectors instead, it returns ``(gram, A[:, cols]^T v, scaled)``: the
+    product runs over every row, from the gathered columns before any row is
+    dropped or scaled, so one column gather serves both. ``scaled`` is
+    ``(B, s)``, the block the syrk read and left intact,
     ``B = A[:, cols] * s[:, None]`` with ``s = sqrt(w)``, so that
     ``(B @ d) / s`` is ``A[:, cols] @ d`` to rounding. It is None unless every
     row is kept and ``min(s) >= SCALE_FLOOR``.
     """
-    w, v, *keep = w if isinstance(w, tuple) else (w, None)
+    w, v = w if isinstance(w, tuple) else (w, None)
     block = A if cols.shape[0] == A.shape[1] else A[:, cols]
     product = None if v is None else block.T @ v
     if rows.shape[0] < A.shape[0]:
@@ -87,11 +87,9 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
         block = A * s[:, None]
     else:
         block *= s[:, None]
-    usable = keep and rows.shape[0] == A.shape[0] and float(s.min()) >= SCALE_FLOOR
-    scaled = (block, s) if usable else None
-    # unless kept, the square roots are freed before the syrk allocates the result
-    del s
-    gram = block.T @ block
     if v is None:
-        return gram
-    return (gram, product, scaled) if keep else (gram, product)
+        # the square roots are freed before the syrk allocates the result
+        del s
+        return block.T @ block
+    usable = rows.shape[0] == A.shape[0] and float(s.min()) >= SCALE_FLOOR
+    return block.T @ block, product, (block, s) if usable else None

@@ -272,7 +272,7 @@ class ObjectiveModel:
         if not checked:
             S = _check_index_set(S, self.dataset.N)
         rows = self._rows(row_sample)
-        q, bw, scaled = kernels.gram_gather(self.dataset.A, (point.w2, point.w1, True), S, rows)
+        q, bw, scaled = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
         q = self._hessian_block(q, x, S, rows.shape[0])
         return q, self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S]), scaled
 

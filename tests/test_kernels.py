@@ -57,7 +57,7 @@ def test_gram_pair_product_runs_over_every_row(layout, gen):
     w, v = np.abs(gen.standard_normal(m)), gen.standard_normal(m)
     cols = np.sort(gen.choice(N, size=7, replace=False)).astype(np.int64)
     rows = np.sort(gen.choice(m, size=45, replace=False)).astype(np.int64)
-    gram, product = kernels.gram_gather(A, (w, v), cols, rows)
+    gram, product, _ = kernels.gram_gather(A, (w, v), cols, rows)
     assert np.array_equal(product, A[:, cols].T @ v)
     assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
 
@@ -85,7 +85,7 @@ def test_scaled_block_gives_the_step_margins(kind, layout, gen):
     A = layout(A)
     cols = np.sort(gen.choice(N, size=n, replace=False)).astype(np.int64)
     rows = np.arange(m, dtype=np.int64)
-    gram, product, (B, s) = kernels.gram_gather(A, (w2, w1, True), cols, rows)
+    gram, product, (B, s) = kernels.gram_gather(A, (w2, w1), cols, rows)
     assert np.array_equal(gram, kernels.gram_gather(A, w2, cols, rows))
     assert np.array_equal(product, A[:, cols].T @ w1)
     for _ in range(5):
@@ -106,7 +106,7 @@ def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
         rows = rows[::2]
     else:
         w[17] = 0.0 if case == "zero_weight" else (0.5 * kernels.SCALE_FLOOR) ** 2
-    gram, product, scaled = kernels.gram_gather(A, (w, gen.standard_normal(m), True), cols, rows)
+    gram, product, scaled = kernels.gram_gather(A, (w, gen.standard_normal(m)), cols, rows)
     assert scaled is None
     assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
 
