@@ -17,7 +17,6 @@ from .coarse import (
 )
 from .core import (
     DECREMENT_SQ_LIMIT,
-    haar_orthogonal,
     omega,
     omega_star,
     sample_without_replacement,
@@ -84,7 +83,6 @@ __all__ = [
     "feasible_start",
     "full_operator",
     "galerkin_system",
-    "haar_orthogonal",
     "load_csv",
     "load_libsvm",
     "make_objective",

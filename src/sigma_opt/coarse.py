@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import sample_without_replacement, spd_solve
+from .core import sample_without_replacement, spd_factor, spd_solve
 from .errors import InvalidDimensions
 from .objectives import ObjectiveModel, Point, _check_index_set
 from .rng import RngState
@@ -35,12 +35,16 @@ class CoarseOperator:
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Reduced curvature ``Q_H`` and reduced gradient ``R grad f``, with the
-    Gram's scaled block ``(B, s)`` for the step's ``A d`` when it has one."""
+    """Reduced curvature ``Q_H = c B^T B + diag(D)`` (n x n, or ``(c, D)``),
+    reduced gradient ``R grad f``, the Gram's scaled block ``B`` and its row
+    scales ``s``, as :meth:`ObjectiveModel.reduced_system` returns them.
+    :func:`coarse_direction` factors the n x n ``Q_H``, or for ``(c, D)`` the
+    m x m capacitance matrix of ``B``, with one refinement step."""
 
-    q: np.ndarray
+    q: np.ndarray | tuple[float, np.ndarray]
     g: np.ndarray
-    scaled: tuple[np.ndarray, np.ndarray] | None = None
+    block: np.ndarray | None = None
+    s: np.ndarray | None = None
 
 
 class CoarseStep(NamedTuple):
@@ -94,40 +98,66 @@ def galerkin_system(
     restricted gradient (over every row, equal to ``point.g[S]`` up to
     rounding) and the curvature, which scales the block in place
     (:meth:`ObjectiveModel.reduced_system`); the full gradient is not formed.
-    The system keeps that scaled block for :func:`coarse_direction` unless
-    rows are sampled or a row's scale is below ``kernels.SCALE_FLOOR``.
-    With the full operator the gather is ``A`` itself and ``g`` equals
-    ``point.g`` bit for bit. ``op`` has validated its indices, so they are
-    not checked again.
+    A block with fewer rows than columns keeps ``Q_H`` as ``(c, D)`` when
+    ``D > 0``, and no n x n matrix is formed. With the full operator the
+    gather is ``A`` itself and ``g`` equals ``point.g`` bit for bit. ``op``
+    has validated its indices, so they are not checked again.
     """
     if point is None:
         point = model.point(x)
-    q, g, scaled = model.reduced_system(x, op.indices, point, row_sample, checked=True)
-    return GalerkinSystem(q=q, g=g, scaled=scaled)
+    return GalerkinSystem(*model.reduced_system(x, op.indices, point, row_sample, checked=True))
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
-    """Solve the reduced system and prolong; consumes ``sys``.
+    """Solve ``Q_H d_coarse = -g`` and prolong; consumes ``sys``.
 
-    ``sys.q`` is factored in place and holds its Cholesky factor afterwards.
-    ``lambda_hat = sqrt(-g^T d_coarse)``; the negative-rounding case is clamped
-    to zero. With the full operator this is exactly the Newton direction.
-    The step's margins ``dz = A[:, S] d_coarse`` are ``(B d_coarse) / s`` from
-    the system's scaled block, or None when it has none. That O(m n) product
-    runs before the caller picks a direction, so it is also paid on iterations
-    that then take the fine one; forming it here lets the block be freed
-    before the fine direction allocates its N x N Hessian.
+    An n x n ``sys.q`` is factored in place and holds its Cholesky factor
+    afterwards. Given ``(c, D)`` instead, the m x m capacitance matrix
+    ``K = I / c + B D^-1 B^T`` of the block ``B`` is factored, and
+    ``Q_H^-1 = D^-1 - D^-1 B^T K^-1 B D^-1`` (Woodbury) gives ``d_coarse``
+    in O(m^2 n): no n x n matrix is formed. That direction is
+    ``D^-1 (B^T y - g)``, a difference that cancels where ``g`` lies near
+    the row space of ``B`` and ``D`` is small, as at ``x = 0`` of a Gaussian
+    problem with fewer rows than ``n``; so it takes one step of iterative
+    refinement, from the residual ``-g - (c B^T (B d) + D d)`` in O(m n),
+    which brings its error to or below that of the n x n Cholesky.
+
+    ``lambda_hat = sqrt(-g^T d_coarse)``; the negative-rounding case is
+    clamped to zero. With the full operator this is exactly the Newton
+    direction. The step's margins ``dz = A[:, S] d_coarse`` are
+    ``(B d_coarse) / s`` when the system has ``s``, else None. That O(m n)
+    product runs before the caller picks a direction, so it is also paid on
+    iterations that then take the fine one; forming it here lets the block
+    be freed before the fine direction allocates its N x N Hessian.
     """
-    # q is exactly symmetric, so q.T is the same matrix in column-major order,
-    # which dpotrf factors in place, without a transposing copy
-    d_coarse = spd_solve(sys.q.T, -sys.g, overwrite_a=True)
+    if isinstance(sys.q, tuple):
+        d_coarse = _capacitance_solve(sys.block, *sys.q, -sys.g)
+    else:
+        # q is exactly symmetric, so q.T is the same matrix in column-major
+        # order, which dpotrf factors in place, without a transposing copy
+        d_coarse = spd_solve(sys.q.T, -sys.g, overwrite_a=True)
     lam_sq = -float(sys.g @ d_coarse)
     dz = None
-    if sys.scaled is not None:
-        block, s = sys.scaled
-        dz = block @ d_coarse
-        dz /= s
+    if sys.s is not None:
+        dz = sys.block @ d_coarse
+        dz /= sys.s
     return CoarseStep(d_coarse, prolong(op, d_coarse), float(np.sqrt(max(lam_sq, 0.0))), dz)
+
+
+def _capacitance_solve(B: np.ndarray, c: float, D: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(c B^T B + diag(D))^-1 rhs`` through the capacitance matrix of ``B``,
+    with one refinement step (:func:`coarse_direction`)."""
+    C = B / np.sqrt(D)
+    K = C @ C.T  # a syrk: exactly symmetric, so K.T is K in column-major order
+    K.flat[::K.shape[0] + 1] += 1.0 / c
+    solve = spd_factor(K.T, overwrite_a=True)
+
+    def apply_inverse(v):
+        return (v - B.T @ solve(B @ (v / D))) / D
+
+    d = apply_inverse(rhs)
+    d += apply_inverse(rhs - (c * (B.T @ (B @ d)) + D * d))
+    return d
 
 
 def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None) -> NewtonStep:

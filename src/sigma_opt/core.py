@@ -21,41 +21,39 @@ DECREMENT_SQ_LIMIT = DECREMENT_LIMIT**2
 logger = logging.getLogger(__name__)
 
 
-def spd_solve(A: np.ndarray, rhs: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Solve ``A x = rhs`` for symmetric positive definite ``A``.
+def spd_factor(A: np.ndarray, overwrite_a: bool = False):
+    """Factor symmetric positive definite ``A`` once; returns ``solve``, with
+    ``solve(rhs)`` the solution of ``A x = rhs`` for a vector or a matrix of
+    right-hand sides, as many times as needed.
 
-    ``rhs`` is a vector or a matrix of right-hand sides. Factors ``A`` with
-    LAPACK's ``dpotrf`` (lower triangle) and solves with ``dpotrs``, bound
-    once at import: the same calls, and so the same bits, as
-    ``scipy.linalg.cho_solve(cho_factor(A, lower=True), rhs)``, without the
-    wrappers' per-call dispatch. ``rhs`` is not modified, and ``A`` is not
-    either unless ``overwrite_a`` is set (scipy's name). Then ``A`` must be
-    exactly symmetric, and a column-major ``A`` is factored in place: its
-    lower triangle holds the factor afterwards. If the factorization
-    fails, it retries once with the diagonal shifted by
-    ``1e-10 * (1 + max diag)`` and logs the shift at WARNING -- a PD matrix
-    that fails to factor is a conditioning artifact, and a tiny shift fixes
-    it without masking genuinely indefinite inputs. The retry factors the
-    original matrix: ``dpotrf`` writes only the lower triangle, so an
-    overwritten ``A`` is rebuilt from its strict upper triangle and the
-    diagonal saved before the first attempt.
+    Factors ``A`` with LAPACK's ``dpotrf`` (lower triangle) and solves with
+    ``dpotrs``, bound once at import: the same calls, and so the same bits,
+    as ``scipy.linalg.cho_solve(cho_factor(A, lower=True), rhs)``, without
+    the wrappers' per-call dispatch. ``A`` is not modified unless
+    ``overwrite_a`` is set (scipy's name). Then ``A`` must be exactly
+    symmetric, and a column-major ``A`` is factored in place: its lower
+    triangle holds the factor afterwards. If the factorization fails, it
+    retries once with the diagonal shifted by ``1e-10 * (1 + max diag)`` and
+    logs the shift at WARNING -- a PD matrix that fails to factor is a
+    conditioning artifact, and a tiny shift fixes it without masking
+    genuinely indefinite inputs. The retry factors the original matrix:
+    ``dpotrf`` writes only the lower triangle, so an overwritten ``A`` is
+    rebuilt from its strict upper triangle and the diagonal saved before the
+    first attempt.
 
     Raises
     ------
     NotPositiveDefinite
         If the factorization fails even after the shift retry.
     InvalidDimensions
-        If ``A`` is not square or its order does not match ``rhs``.
+        If ``A`` is not square.
     ValueError
-        If ``A`` or ``rhs`` holds NaN or inf.
+        If ``A`` holds NaN or inf.
     """
     A = np.asarray(A, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidDimensions(f"expected a square matrix, got shape {A.shape}")
-    if rhs.shape[0] != A.shape[0]:
-        raise InvalidDimensions(f"matrix order {A.shape[0]} != rhs length {rhs.shape[0]}")
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
     diag = np.diagonal(A).copy() if overwrite_a else None
     c, info = _potrf(A, lower=1, clean=0, overwrite_a=overwrite_a)
@@ -72,10 +70,31 @@ def spd_solve(A: np.ndarray, rhs: np.ndarray, overwrite_a: bool = False) -> np.n
             raise NotPositiveDefinite(f"Cholesky failed even after diagonal shift {shift:.3e}")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    x, info = _potrs(c, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = _potrs(c, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
+
+    return solve
+
+
+def spd_solve(A: np.ndarray, rhs: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+    """Solve ``A x = rhs`` for symmetric positive definite ``A``: one
+    :func:`spd_factor` and one solve. ``rhs``, a vector or a matrix of
+    right-hand sides, is not modified, and is checked before ``A`` is
+    factored: :class:`InvalidDimensions` if its length is not ``A``'s order,
+    ``ValueError`` if it holds NaN or inf. ``A``, ``overwrite_a`` and the
+    other errors are as in :func:`spd_factor`.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if A.shape[:1] != rhs.shape[:1]:
+        raise InvalidDimensions(f"matrix shape {A.shape} does not match rhs shape {rhs.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return spd_factor(A, overwrite_a)(rhs)
 
 
 def omega(x):
@@ -106,17 +125,6 @@ def sample_without_replacement(N: int, n: int, rng: RngState) -> np.ndarray:
     idx = rng.draw().choice(N, size=n, replace=False)
     idx.sort()
     return idx.astype(np.int64)
-
-
-def haar_orthogonal(dim: int, rng: RngState) -> np.ndarray:
-    """Random orthogonal matrix from the Haar distribution on O(dim).
-
-    QR of a standard Gaussian matrix, with the sign ambiguity fixed by the
-    diagonal of the triangular factor so the distribution is exactly Haar.
-    """
-    if dim < 1:
-        raise InvalidDimensions(f"dim must be >= 1, got {dim}")
-    return haar_frame(dim, dim, rng.child())
 
 
 def haar_frame(nrows: int, ncols: int, gen: np.random.Generator) -> np.ndarray:

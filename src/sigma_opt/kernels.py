@@ -13,8 +13,10 @@ Two kernel families dominate a solver iteration:
   result is exactly symmetric with no mirror step. ``A`` is never modified,
   and a row- or column-major ``A`` gives the same bits. The same column
   gather can also give ``A[:, cols]^T v`` over every row for a row vector
-  ``v``, SIGMA's restricted gradient, and hand back the scaled block, from
-  which the coarse step's ``A[:, cols] d`` follows without a second gather.
+  ``v``, SIGMA's restricted gradient, and hand back the scaled block ``B``.
+  From ``B`` follow the coarse step's ``A[:, cols] d`` without a second
+  gather and, when ``B`` has fewer rows than columns, the coarse solve
+  without the n x n Gram (``coarse.coarse_direction``).
 """
 
 import numpy as np
@@ -57,10 +59,11 @@ def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     return _TERMS[kind](z, b)
 
 
-# Smallest row scale sqrt(w) at which the scaled block is handed back: above
-# it, B = A[:, cols] * sqrt(w) and the products B d stay in the normal range
-# for any |a_ij d_j| above 2^-766, so dividing by sqrt(w) recovers A[:, cols] d
-# to rounding. A logistic row's w is exactly 0 once its b z is below about -37.
+# Smallest row scale sqrt(w) at which the coarse step's A d is taken from the
+# scaled block (objectives.ObjectiveModel.reduced_system): above it,
+# B = A[:, cols] * sqrt(w) and the products B d stay in the normal range for
+# any |a_ij d_j| above 2^-766, so dividing by sqrt(w) recovers A[:, cols] d to
+# rounding. A logistic row's w is exactly 0 once its b z is below about -37.
 SCALE_FLOOR = 2.0**-256
 
 
@@ -69,13 +72,15 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
 
     ``cols`` and ``rows`` are strictly increasing index arrays. ``w`` must be
     nonnegative: rows are scaled by ``sqrt(w)``. Given a pair ``(w, v)`` of
-    row vectors instead, it returns ``(gram, A[:, cols]^T v, scaled)``: the
+    row vectors instead, it returns ``(gram, A[:, cols]^T v, (B, s))``: the
     product runs over every row, from the gathered columns before any row is
-    dropped or scaled, so one column gather serves both. ``scaled`` is
-    ``(B, s)``, the block the syrk read and left intact,
-    ``B = A[:, cols] * s[:, None]`` with ``s = sqrt(w)``, so that
-    ``(B @ d) / s`` is ``A[:, cols] @ d`` to rounding. It is None unless every
-    row is kept and ``min(s) >= SCALE_FLOOR``.
+    dropped or scaled, so one column gather serves both. ``B`` is the block
+    the syrk reads and leaves intact, ``A[rows, cols] * s[:, None]`` with
+    ``s = sqrt(w[rows])``. ``gram`` is None when ``B`` has fewer rows than
+    columns: ``B^T B`` then has rank below its order, and the coarse solve
+    factors the smaller capacitance matrix ``B D^-1 B^T + I / c`` from ``B``
+    instead (``coarse.coarse_direction``); only a regularizer diagonal ``D``
+    with a zero makes the caller form ``B^T B`` after all.
     """
     w, v = w if isinstance(w, tuple) else (w, None)
     block = A if cols.shape[0] == A.shape[1] else A[:, cols]
@@ -91,5 +96,5 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
         # the square roots are freed before the syrk allocates the result
         del s
         return block.T @ block
-    usable = rows.shape[0] == A.shape[0] and float(s.min()) >= SCALE_FLOOR
-    return block.T @ block, product, (block, s) if usable else None
+    gram = block.T @ block if block.shape[0] >= block.shape[1] else None
+    return gram, product, (block, s)

@@ -256,35 +256,53 @@ class ObjectiveModel:
         rows = self._rows(row_sample)
         if w2 is None:
             w2 = self.point(x).w2
-        return self._hessian_block(kernels.gram_gather(self.dataset.A, w2, S, rows), x, S,
-                                   rows.shape[0])
+        gram = kernels.gram_gather(self.dataset.A, w2, S, rows)
+        return self._hessian_block(gram, self._row_coeff(rows.shape[0]), self.reg.hess_diag(x[S]))
 
     def reduced_system(self, x: np.ndarray, S: np.ndarray, point: Point,
                        row_sample: np.ndarray | None = None, *,
                        checked: bool = False):
-        """``(Q, g_S, scaled)`` at ``point``: :meth:`reduced_hessian`, the
+        """``(q, g_S, block, s)`` at ``point``: the reduced curvature, the
         gradient on ``S`` over every row (``point.g[S]`` up to rounding) and
-        the Gram's scaled block ``(B, s)`` (:func:`kernels.gram_gather`), in
-        O(m n^2) without the full ``A^T w1``. All three come from one gather of
-        ``A[:, S]``; with ``row_sample`` the curvature keeps only the sampled
-        rows of it and ``scaled`` is None.
+        the Gram's scaled block ``B = A[rows, S] * s[:, None]`` with
+        ``s = sqrt(w2[rows])`` (:func:`kernels.gram_gather`), all from one
+        gather of ``A[:, S]`` and without the full ``A^T w1``.
+
+        The curvature is ``Q = c B^T B + diag(D)``, with ``c`` the row
+        coefficient and ``D`` the regularizer's Hessian diagonal on ``S``.
+        ``q`` is the pair ``(c, D)`` when ``B`` has fewer rows than columns
+        and every entry of ``D`` is positive; the n x n matrix is then never
+        formed. Otherwise ``q`` is that matrix, :meth:`reduced_hessian` bit
+        for bit. ``s`` is set when ``(B d) / s`` is ``A[:, S] d`` to
+        rounding: every row is kept and ``min(s) >= kernels.SCALE_FLOOR``.
+        ``block`` is None when neither ``q`` nor ``s`` needs it.
         """
         if not checked:
             S = _check_index_set(S, self.dataset.N)
         rows = self._rows(row_sample)
-        q, bw, scaled = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
-        q = self._hessian_block(q, x, S, rows.shape[0])
-        return q, self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S]), scaled
+        gram, bw, (block, s) = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
+        coeff, diag = self._row_coeff(rows.shape[0]), self.reg.hess_diag(x[S])
+        if gram is None and float(diag.min()) > 0.0:
+            q = (coeff, diag)
+        else:
+            # a short block's Gram is formed here only when D has a zero
+            q = self._hessian_block(block.T @ block if gram is None else gram, coeff, diag)
+        g = self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S])
+        if rows.shape[0] < self.dataset.m or float(s.min()) < kernels.SCALE_FLOOR:
+            s = None
+        if s is None and not isinstance(q, tuple):
+            block = None
+        return q, g, block, s
 
     def _rows(self, row_sample: np.ndarray | None) -> np.ndarray:
         m = self.dataset.m
         return np.arange(m, dtype=np.int64) if row_sample is None else _check_index_set(row_sample, m)
 
-    def _hessian_block(self, gram: np.ndarray, x: np.ndarray, S: np.ndarray,
-                       n_rows: int) -> np.ndarray:
+    @staticmethod
+    def _hessian_block(gram: np.ndarray, coeff: float, diag: np.ndarray) -> np.ndarray:
         # scaled in place: one n x n matrix, not two
-        gram *= self._row_coeff(n_rows)
-        gram.flat[::gram.shape[0] + 1] += self.reg.hess_diag(x[S])
+        gram *= coeff
+        gram.flat[::gram.shape[0] + 1] += diag
         return gram
 
 

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_gaussian_model, random_logistic_model
+from helpers import random_gaussian_model, random_logistic_model, random_poisson_model
 from sigma_opt import (
     CoarseOperator,
     Dataset,
+    LabelSpec,
     Regularization,
     RngState,
     SigmaConfig,
+    SvdGapSpec,
     build_operator,
     coarse_direction,
+    feasible_start,
     full_operator,
     galerkin_system,
     make_objective,
@@ -22,6 +25,9 @@ from sigma_opt import (
     sample_without_replacement,
     sigma_solve,
     solver,
+    spd_solve,
+    svd_gap_matrix,
+    synth_labels,
 )
 from sigma_opt.errors import InvalidDimensions
 
@@ -293,3 +299,110 @@ class TestNormIdentity:
             rhs = np.sqrt(max(nd.lam**2 - step.lambda_hat**2, 0.0))
             assert abs(lhs - rhs) <= 1e-7 * max(rhs, 1e-9)
             assert lhs <= nd.lam * (1.0 + 1e-9)
+
+
+def _cholesky_direction(model, x, op, rows, g):
+    """The n x n path: ``Q_H`` formed by the Gram's syrk and factored."""
+    q = model.reduced_hessian(x, op.indices, rows)
+    return spd_solve(q, -g), q
+
+
+def _refined_reference(block, c, D, rhs, start, q):
+    """``(c B^T B + diag(D))^-1 rhs`` by iterative refinement from ``start``,
+    with every residual formed in ``np.longdouble`` from the exact ``B``,
+    ``c`` and ``D``, and the corrections solved with the formed ``q``."""
+    B, Dl, cl = block.astype(np.longdouble), D.astype(np.longdouble), np.longdouble(c)
+    d = start.astype(np.longdouble)
+    for _ in range(6):
+        r = rhs.astype(np.longdouble) - (cl * (B.T @ (B @ d)) + Dl * d)
+        d += spd_solve(q, r.astype(np.float64))
+    return d
+
+
+class TestCapacitanceSolve:
+    # the Gram has fewer rows than columns and D > 0: Q_H = c B^T B + diag(D)
+    # is solved through the m x m capacitance matrix, with one refinement step
+
+    @pytest.mark.parametrize("row_sample", [None, 25])
+    @pytest.mark.parametrize("reg", [Regularization(xi2=1e-3), Regularization(xi1=1e-2),
+                                     Regularization(xi2=1e-6, xi1=1e-4)],
+                             ids=["l2", "pseudo_huber", "both"])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    @pytest.mark.parametrize("kind", ["gaussian", "logistic", "poisson"])
+    def test_agrees_with_the_n_by_n_cholesky(self, kind, layout, reg, row_sample, gen):
+        # 30 rows, or 25 sampled of 80, against n = 60 columns. The two paths
+        # differ by the forward error of a solve, so the bound is
+        # 2 cond(Q_H) eps; measured, the gap stays below 0.35 cond(Q_H) eps.
+        m, N, n = (30 if row_sample is None else 80), 90, 60
+        make = {"gaussian": random_gaussian_model, "logistic": random_logistic_model,
+                "poisson": random_poisson_model}[kind]
+        base = make(gen, m=m, N=N, reg=reg)
+        model = make_objective(kind, Dataset(layout(base.dataset.A), base.dataset.b), reg)
+        if kind == "poisson":
+            x = feasible_start(model) * gen.uniform(0.5, 1.5, N)
+        else:
+            x = 0.3 * gen.standard_normal(N)
+        eps, rng = np.finfo(np.float64).eps, RngState(3)
+        for _ in range(5):
+            op = build_operator(N, n, rng)
+            rows = None if row_sample is None else np.sort(gen.choice(m, row_sample, replace=False))
+            system = galerkin_system(model, x, op, rows)
+            assert isinstance(system.q, tuple)
+            g = system.g
+            d_ref, q = _cholesky_direction(model, x, op, rows, g)
+            step = coarse_direction(system, op)
+            tol = 2.0 * np.linalg.cond(q) * eps
+            assert np.linalg.norm(step.d_coarse - d_ref) <= tol * np.linalg.norm(d_ref)
+            lam_ref = np.sqrt(-float(g @ d_ref))
+            assert abs(step.lambda_hat - lam_ref) <= tol * lam_ref
+            assert np.array_equal(step.d_hat, prolong(op, step.d_coarse))
+            if rows is not None:  # the step's A d takes the fallback gather
+                assert step.dz is None
+                continue
+            block = model.dataset.A[:, op.indices]
+            assert np.all(np.abs(step.dz - block @ step.d_coarse)
+                          <= 1e-14 * (np.abs(block) @ np.abs(step.d_coarse)))
+            dz_ref = block @ d_ref
+            assert (np.linalg.norm(step.dz - dz_ref)
+                    <= tol * np.linalg.norm(block, 2) * np.linalg.norm(d_ref)
+                    + 1e-14 * np.linalg.norm(dz_ref))
+
+    @staticmethod
+    def _gaussian_wide():
+        # the benchmark's gaussian-wide family: 50 x 2000, n = 200, xi2 = 1e-6
+        A = svd_gap_matrix(SvdGapSpec(m=50, N=2000, p=10, gap=100.0, seed=0), RngState(0))
+        b, _ = synth_labels(A, LabelSpec("gaussian", sigma_noise=0.01, seed=100), RngState(100))
+        return make_objective("gaussian", Dataset(A, b), Regularization(xi2=1e-6))
+
+    @staticmethod
+    def _logistic_wide(xi2):
+        gen = np.random.default_rng(3)
+        A = gen.standard_normal((60, 800))
+        b = np.where(gen.standard_normal(60) > 0, 1.0, -1.0)
+        return make_objective("logistic", Dataset(A, b), Regularization(xi2=xi2))
+
+    @pytest.mark.parametrize("case", ["gaussian_wide", "logistic_xi2_1e-6", "logistic_xi2_1e-10"])
+    def test_refined_error_at_most_twice_the_cholesky(self, case):
+        # At x = 0 of gaussian-wide the gradient lies in the block's row space
+        # and D is 2e-6: the unrefined Woodbury direction D^-1 (B^T y - g)
+        # cancels, about 300x the Cholesky's error. One refinement step
+        # brings it to or below the Cholesky's.
+        model = self._gaussian_wide() if case == "gaussian_wide" else self._logistic_wide(
+            float(case.rsplit("_", 1)[1]))
+        N = model.dataset.N
+        late = sigma_solve(model, np.zeros(N), SigmaConfig(n=200, epsilon=1e-30, max_iter=300,
+                                                         seed=1)).x_final
+        rng = RngState(5)
+        for x in (np.zeros(N), late):
+            for _ in range(3):
+                op = build_operator(N, 200, rng)
+                system = galerkin_system(model, x, op)
+                block, (c, D), g = system.block, system.q, system.g
+                d_chol, q = _cholesky_direction(model, x, op, None, g)
+                reference = _refined_reference(block, c, D, -g, d_chol, q)
+                d_cap = coarse_direction(system, op).d_coarse
+
+                def error(d):
+                    return float(np.linalg.norm(d - reference) / np.linalg.norm(reference))
+
+                assert error(d_cap) <= 2.0 * error(d_chol)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from sigma_opt import (
     RngState,
-    haar_orthogonal,
     omega,
     omega_star,
     sample_without_replacement,
     spd_solve,
 )
+from sigma_opt.core import haar_frame
 from sigma_opt.errors import DomainError, InvalidDimensions, NotPositiveDefinite
 
 
@@ -238,28 +238,29 @@ class TestSampling:
 
 
 class TestHaar:
+    # square frames: the Haar-orthogonal matrices the data generator draws
     def test_dim_one(self):
-        q = haar_orthogonal(1, RngState(0))
+        q = haar_frame(1, 1, RngState(0).child())
         assert q.shape == (1, 1)
         assert abs(abs(q[0, 0]) - 1.0) < 1e-12
 
     def test_orthogonality(self):
-        q = haar_orthogonal(3, RngState(11))
+        q = haar_frame(3, 3, RngState(11).child())
         assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-10
 
     def test_determinism(self):
-        a = haar_orthogonal(4, RngState(7))
-        b = haar_orthogonal(4, RngState(7))
+        a = haar_frame(4, 4, RngState(7).child())
+        b = haar_frame(4, 4, RngState(7).child())
         assert np.array_equal(a, b)
 
     def test_det_is_unit(self):
         for seed in range(5):
-            q = haar_orthogonal(6, RngState(seed))
+            q = haar_frame(6, 6, RngState(seed).child())
             assert abs(abs(np.linalg.det(q)) - 1.0) <= 1e-8
 
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimensions):
-            haar_orthogonal(0, RngState(0))
+            haar_frame(0, 0, RngState(0).child())
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))

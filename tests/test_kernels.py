@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sigma_opt import kernels
+from sigma_opt import Dataset, kernels, make_objective
+from sigma_opt.objectives import Point
 
 
 def gram_reference(A, w, cols, rows):
@@ -99,6 +100,8 @@ def test_scaled_block_gives_the_step_margins(kind, layout, gen):
 
 @pytest.mark.parametrize("case", ["row_subset", "zero_weight", "below_floor"])
 def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
+    # the kernel hands back the block over the kept rows; the model keeps it
+    # for the step's A d only when every row is kept at a normal scale
     m, N = 50, 10
     A, w = gen.standard_normal((m, N)), np.abs(gen.standard_normal(m))
     cols, rows = np.array([1, 4, 7], dtype=np.int64), np.arange(m, dtype=np.int64)
@@ -106,9 +109,32 @@ def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
         rows = rows[::2]
     else:
         w[17] = 0.0 if case == "zero_weight" else (0.5 * kernels.SCALE_FLOOR) ** 2
-    gram, product, scaled = kernels.gram_gather(A, (w, gen.standard_normal(m)), cols, rows)
-    assert scaled is None
+    v = gen.standard_normal(m)
+    gram, product, (B, s) = kernels.gram_gather(A, (w, v), cols, rows)
     assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
+    assert np.array_equal(s, np.sqrt(w[rows]))
+    assert np.array_equal(B, A[np.ix_(rows, cols)] * s[:, None])
+    model = make_objective("gaussian", Dataset(A, gen.standard_normal(m)))
+    x = np.zeros(N)
+    point = Point(model, x, np.zeros(m), 0.0, v, w)
+    q, g, block, s = model.reduced_system(x, cols, point, None if case != "row_subset" else rows)
+    assert block is None and s is None
+    assert np.array_equal(q, model.reduced_hessian(x, cols, rows, w2=w))
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_short_block_skips_the_gram(layout, gen):
+    # fewer kept rows than columns: B^T B is rank deficient, and the caller
+    # solves from B instead of forming it
+    m, N = 30, 60
+    A = layout(gen.standard_normal((m, N)))
+    w, v = np.abs(gen.standard_normal(m)), gen.standard_normal(m)
+    cols = np.sort(gen.choice(N, size=40, replace=False)).astype(np.int64)
+    for rows in (np.arange(m, dtype=np.int64), np.arange(0, m, 2, dtype=np.int64)):
+        gram, product, (B, s) = kernels.gram_gather(A, (w, v), cols, rows)
+        assert gram is None
+        assert np.array_equal(product, A[:, cols].T @ v)
+        assert np.array_equal(B.T @ B, kernels.gram_gather(A, w, cols, rows))
 
 
 def test_logistic_terms_stable_at_extreme_margins():

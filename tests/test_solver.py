@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import tracemalloc
 
@@ -809,3 +810,44 @@ def test_solve_memory_holds_one_block_and_factors_in_place():
         tracemalloc.stop()
     assert res.iterations == 5
     assert peak < 8 * (m * n + 2 * n * n)
+
+
+def test_short_block_solve_allocates_no_n_by_n_array():
+    # 50 rows against n = 200 columns: the coarse system is solved through
+    # the 50 x 50 capacitance matrix. One n x n array (the Gram, Q_H or its
+    # factor) would alone cross 8 n^2 bytes; the solve peaks near 0.27 of a
+    # megabyte, the n x n path near 0.48.
+    m, N, n = 50, 2000, 200
+    gen = np.random.default_rng(5)
+    A = np.asfortranarray(gen.standard_normal((m, N)))
+    model = make_objective("gaussian", Dataset(A, gen.standard_normal(m)),
+                           Regularization(xi2=1e-6))
+    cfg = SigmaConfig(n=n, epsilon=1e-30, max_iter=5, seed=0)
+    tracemalloc.start()
+    try:
+        res = sigma_solve(model, np.zeros(N), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 5
+    assert peak < 8 * n * n
+
+
+def test_unregularized_short_block_keeps_the_shifted_cholesky(caplog):
+    # With D = 0, Q_H = c B^T B has rank at most m < n, and there is no
+    # capacitance form to solve. The n x n Gram is formed and factored after
+    # the shift retry, as before the capacitance path existed: this digest
+    # of the trace's float.hex values and x_final is the one the n x n path
+    # gave (numpy 2.4 with its bundled OpenBLAS).
+    gen = np.random.default_rng(21)
+    model = random_logistic_model(gen, m=30, N=80)
+    with caplog.at_level(logging.WARNING, logger="sigma_opt.core"):
+        res = sigma_solve(model, np.zeros(80), SigmaConfig(n=50, epsilon=1e-30, max_iter=8,
+                                                           seed=2))
+    retries = [r for r in caplog.records if r.name == "sigma_opt.core"]
+    assert len(retries) == len(res.trace) == 9
+    assert all(r.levelno == logging.WARNING and "diagonal shift" in r.getMessage()
+               for r in retries)
+    bits = " ".join(v.hex() for r in res.trace for v in (r.f, r.grad_norm, r.lambda_hat, r.step))
+    digest = hashlib.sha256(bits.encode() + res.x_final.tobytes()).hexdigest()
+    assert digest == "604957f184f4ce5458aa52fb95bdbfbcd3af854bbfd916f0963d228152db904c"
