@@ -27,6 +27,7 @@ from .data import (
     SvdGapSpec,
     load_csv,
     load_libsvm,
+    positive_margin_start,
     standardize,
     svd_gap_matrix,
     synth_labels,
@@ -34,13 +35,11 @@ from .data import (
 )
 from .objectives import (
     Dataset,
-    DomainStatus,
     ObjectiveModel,
     Regularization,
     feasible_start,
     make_objective,
     poisson_scale,
-    positive_margin_start,
 )
 from .rng import RngState
 from .solver import (
@@ -57,51 +56,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BaselineConfig",
-    "CoarseOperator",
-    "Dataset",
-    "DomainStatus",
-    "DECREMENT_SQ_LIMIT",
-    "GalerkinSystem",
-    "LabelSpec",
-    "ObjectiveModel",
-    "Regularization",
-    "RngState",
-    "SigmaConfig",
-    "SolveResult",
-    "SvdGapSpec",
-    "TraceRecord",
-    "armijo_search",
-    "baseline_solve",
-    "build_operator",
-    "coarse_direction",
-    "damped_initial_step",
-    "direction_select",
-    "eta_region",
-    "feasible_start",
-    "full_operator",
-    "galerkin_system",
-    "load_csv",
-    "load_libsvm",
-    "make_objective",
-    "newsamp_hessian",
-    "newton_direction",
-    "nystrom_approximation",
-    "omega",
-    "omega_star",
-    "poisson_feasible_step",
-    "poisson_scale",
-    "positive_margin_start",
-    "prolong",
-    "restrict",
-    "sample_without_replacement",
-    "sigma_solve",
-    "spd_solve",
-    "standardize",
-    "stopping_check",
-    "svd_gap_matrix",
-    "synth_labels",
-    "write_libsvm",
-]

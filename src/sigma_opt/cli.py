@@ -25,6 +25,7 @@ import yaml
 from . import baselines, solver
 from . import data as data_mod
 from .baselines import METHODS, BaselineConfig
+from .data import _fmt
 from .errors import NoFeasibleStart
 from .objectives import (
     GAUSSIAN,
@@ -34,7 +35,6 @@ from .objectives import (
     Regularization,
     feasible_start,
     make_objective,
-    positive_margin_start,
 )
 from .rng import RngState
 from .solver import CHECK_MODES, SigmaConfig, SolveConfig
@@ -42,10 +42,6 @@ from .solver import CHECK_MODES, SigmaConfig, SolveConfig
 TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,backtracks"
 
 SOLVERS = ("sigma",) + METHODS
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def write_trace(path, trace) -> None:
@@ -112,7 +108,7 @@ def _build_dataset(p: dict):
             ds = data_mod.load_libsvm(path, n_features=p["n_features"])
         x_true, meta = None, {"source": str(path), "m": ds.m, "N": ds.N}
     if p["standardize"]:
-        ds, _ = data_mod.standardize(ds)
+        ds = data_mod.standardize(ds)
         meta["standardize"] = True
     return ds, x_true, meta
 
@@ -125,10 +121,10 @@ def _run(p: dict, ds, x_true, seed: int):
     try:
         x0 = feasible_start(model)
     except NoFeasibleStart:
-        if x_true is not None and model.domain_status(x_true).feasible:
+        if x_true is not None and model.predict(x_true).min() > 0:
             x0 = x_true
         else:
-            x0 = positive_margin_start(model.dataset)
+            x0 = data_mod.positive_margin_start(model.dataset)
     if p["solver"] == "sigma":
         n = p["n"] if p["n"] is not None else max(1, ds.N // 2)
         cfg = _config(SigmaConfig, p, n=n, row_sample=p["rows"], seed=seed)
@@ -338,7 +334,7 @@ def bench(**p):
 @click.option("--noise", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default="dataset")
-def datagen(m, N, p, gap, labels, noise, seed, out, **_kwargs):
+def datagen(m, N, p, gap, labels, noise, seed, out):
     """Generate a synthetic dataset; writes <out>/data.libsvm and meta.json."""
     try:
         spec, A, b, x_true = _synthetic(m, N, p, gap, labels, noise, seed)

@@ -12,10 +12,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .core import sample_without_replacement, spd_factor, spd_solve
 from .errors import InvalidDimensions
 from .objectives import ObjectiveModel, Point, _check_index_set
 from .rng import RngState
+
+# Smallest row scale sqrt(w) at which galerkin_system keeps the Gram's scaled
+# block for the step's A d: above it, B = A[:, S] * sqrt(w) and the products
+# B d stay in the normal range for any |a_ij d_j| above 2^-766, so dividing by
+# sqrt(w) recovers A[:, S] d to rounding. A logistic row's w is exactly 0 once
+# its b z is below about -37.
+SCALE_FLOOR = 2.0**-256
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,7 @@ class CoarseOperator:
 class GalerkinSystem:
     """Reduced curvature ``Q_H = c B^T B + diag(D)`` (n x n, or ``(c, D)``),
     reduced gradient ``R grad f``, the Gram's scaled block ``B`` and its row
-    scales ``s``, as :meth:`ObjectiveModel.reduced_system` returns them.
+    scales ``s``, as :func:`galerkin_system` builds them.
     :func:`coarse_direction` factors the n x n ``Q_H``, or for ``(c, D)`` the
     m x m capacitance matrix of ``B``, with one refinement step."""
 
@@ -93,19 +101,40 @@ def galerkin_system(
 ) -> GalerkinSystem:
     """Assemble ``Q_H`` and the reduced gradient ``R grad f`` at ``x`` in O(m n^2).
 
-    ``point`` is ``model.point(x)`` when the caller already has it. A sampled
-    operator reads only its ``n`` columns of ``A``: one gather serves the
-    restricted gradient (over every row, equal to ``point.g[S]`` up to
-    rounding) and the curvature, which scales the block in place
-    (:meth:`ObjectiveModel.reduced_system`); the full gradient is not formed.
-    A block with fewer rows than columns keeps ``Q_H`` as ``(c, D)`` when
-    ``D > 0``, and no n x n matrix is formed. With the full operator the
+    ``point`` is ``model.point(x)`` when the caller already has it. One
+    gather of ``A[:, S]`` (:func:`kernels.gram_gather`) serves the restricted
+    gradient, over every row and equal to ``point.g[S]`` up to rounding, and
+    the curvature ``Q_H = c B^T B + diag(D)``: ``B = A[rows, S] * s[:, None]``
+    is the block scaled in place by ``s = sqrt(w2[rows])``, ``c`` the row
+    coefficient and ``D`` the regularizer's Hessian diagonal on ``S``. The
+    full gradient is not formed.
+
+    When ``B`` has fewer rows than columns and every entry of ``D`` is
+    positive, ``q`` is the pair ``(c, D)`` and no n x n matrix is formed;
+    otherwise it is the n x n matrix, :meth:`ObjectiveModel.reduced_hessian`
+    bit for bit. ``s`` is kept when ``(B d) / s`` is ``A[:, S] d`` to
+    rounding: every row is kept and ``min(s) >= SCALE_FLOOR``. ``block`` is
+    None when neither ``q`` nor ``s`` needs it. With the full operator the
     gather is ``A`` itself and ``g`` equals ``point.g`` bit for bit. ``op``
     has validated its indices, so they are not checked again.
     """
     if point is None:
         point = model.point(x)
-    return GalerkinSystem(*model.reduced_system(x, op.indices, point, row_sample, checked=True))
+    S, A = op.indices, model.dataset.A
+    rows = model._rows(row_sample)
+    gram, bw, (block, s) = kernels.gram_gather(A, (point.w2, point.w1), S, rows)
+    coeff, diag = model._row_coeff(rows.shape[0]), model.reg.hess_diag(x[S])
+    if gram is None and float(diag.min()) > 0.0:
+        q = (coeff, diag)
+    else:
+        # a short block's Gram is formed here only when D has a zero
+        q = model._hessian_block(block.T @ block if gram is None else gram, coeff, diag)
+    g = model._row_coeff(A.shape[0]) * bw + model.reg.grad(x[S])
+    if rows.shape[0] < A.shape[0] or float(s.min()) < SCALE_FLOOR:
+        s = None
+    if s is None and not isinstance(q, tuple):
+        block = None
+    return GalerkinSystem(q, g, block, s)
 
 
 def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:

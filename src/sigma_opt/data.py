@@ -22,18 +22,16 @@ from .errors import (
     DomainError,
     InfeasibleSynthesis,
     InvalidDimensions,
+    NoFeasibleStart,
     NonAscendingIndexError,
     ParseError,
     RaggedRows,
 )
-from .objectives import Dataset
+from .objectives import GAUSSIAN, KINDS, LOGISTIC, Dataset
 from .rng import RngState
 
 logger = logging.getLogger(__name__)
-GAUSSIAN_NOISE = "gaussian"
-POISSON_COUNTS = "poisson"
-LOGISTIC_SIGNS = "logistic"
-LABEL_KINDS = (GAUSSIAN_NOISE, POISSON_COUNTS, LOGISTIC_SIGNS)
+_MEAN_MARGIN = 5.0  # positive-margin points are rescaled to this mean margin
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,8 @@ class LabelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in LABEL_KINDS:
-            raise DomainError(f"label kind must be one of {LABEL_KINDS}")
+        if self.kind not in KINDS:
+            raise DomainError(f"label kind must be one of {KINDS}")
         if self.sigma_noise < 0:
             raise DomainError("sigma_noise must be nonnegative")
 
@@ -111,27 +109,42 @@ def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndar
     A = np.asarray(A, dtype=np.float64)
     m, N = A.shape
     gen = rng.child()
-    if spec.kind == GAUSSIAN_NOISE:
+    if spec.kind == GAUSSIAN:
         x_true = gen.standard_normal(N)
         b = A @ x_true
         if spec.sigma_noise > 0:
             b = b + spec.sigma_noise * gen.standard_normal(m)
         return b, x_true
-    if spec.kind == LOGISTIC_SIGNS:
+    if spec.kind == LOGISTIC:
         x_true = gen.standard_normal(N)
         s = A @ x_true
         if spec.sigma_noise > 0:
             s = s + spec.sigma_noise * gen.standard_normal(m)
         return np.where(s >= 0, 1.0, -1.0), x_true
     # poisson counts: need strictly positive margins for the rate vector
-    target_mean = 5.0
     x_true = _positive_margin_vector(A, gen, tries=100)
     if x_true is None:
         raise InfeasibleSynthesis("no ground-truth vector with positive margins found")
-    x_true = x_true * (target_mean / float((A @ x_true).mean()))
+    x_true = x_true * (_MEAN_MARGIN / float((A @ x_true).mean()))
     rates = A @ x_true
     b = np.maximum(1, gen.poisson(rates)).astype(np.float64)
     return b, x_true
+
+
+def positive_margin_start(dataset: Dataset) -> np.ndarray:
+    """Search for ``x`` with ``A x`` entrywise positive, rescaled so the margins
+    average 5 (``_MEAN_MARGIN``).
+
+    Tries least squares against up to 20 positive targets (all ones, then
+    draws from seed 0), then decides the feasibility cone exactly with an LP.
+    Complements :func:`~sigma_opt.objectives.feasible_start` when the
+    all-ones heuristic fails, e.g. for Haar-random matrices whose row sums
+    have mixed signs.
+    """
+    x = _positive_margin_vector(dataset.A, np.random.default_rng(0), tries=20)
+    if x is None:
+        raise NoFeasibleStart("the domain {x : A x > 0} is empty or numerically so")
+    return x * (_MEAN_MARGIN / float((dataset.A @ x).mean()))
 
 
 def _max_min_margin(A: np.ndarray) -> np.ndarray | None:
@@ -203,28 +216,17 @@ def _lstsq_range(A: np.ndarray) -> tuple[np.ndarray | None, float]:
     return U[:, :r], 1e4 * eps * s[0] / s[r - 1]
 
 
-@dataclass(frozen=True)
-class StandardizeParams:
-    mean: np.ndarray
-    scale: np.ndarray  # 1.0 for constant columns (centered only)
-
-
-def standardize(ds: Dataset) -> tuple[Dataset, StandardizeParams]:
+def standardize(ds: Dataset) -> Dataset:
     """Shift/scale each feature column to mean 0 and population std 1.
 
-    Columns with std below 1e-12 are centered but not scaled. Returns the
-    transform parameters so new data can be mapped identically.
+    Columns with std below 1e-12 are centered but not scaled.
     """
     if ds.m < 2:
         raise InvalidDimensions("standardize needs at least 2 rows")
     mean = ds.A.mean(axis=0)
     std = ds.A.std(axis=0)  # population convention (divisor m)
     scale = np.where(std < 1e-12, 1.0, std)
-    return Dataset((ds.A - mean) / scale, ds.b), StandardizeParams(mean, scale)
-
-
-def apply_standardize(ds: Dataset, params: StandardizeParams) -> Dataset:
-    return Dataset((ds.A - params.mean) / params.scale, ds.b)
+    return Dataset((ds.A - mean) / scale, ds.b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Two kernel families dominate a solver iteration:
   ``v``, SIGMA's restricted gradient, and hand back the scaled block ``B``.
   From ``B`` follow the coarse step's ``A[:, cols] d`` without a second
   gather and, when ``B`` has fewer rows than columns, the coarse solve
-  without the n x n Gram (``coarse.coarse_direction``).
+  without the n x n Gram (``coarse.galerkin_system`` decides which).
 """
 
 import numpy as np
@@ -59,14 +59,6 @@ def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     return _TERMS[kind](z, b)
 
 
-# Smallest row scale sqrt(w) at which the coarse step's A d is taken from the
-# scaled block (objectives.ObjectiveModel.reduced_system): above it,
-# B = A[:, cols] * sqrt(w) and the products B d stay in the normal range for
-# any |a_ij d_j| above 2^-766, so dividing by sqrt(w) recovers A[:, cols] d to
-# rounding. A logistic row's w is exactly 0 once its b z is below about -37.
-SCALE_FLOOR = 2.0**-256
-
-
 def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
     """``sum_{i in rows} w[i] * A[i, cols] A[i, cols]^T`` as an exactly symmetric matrix.
 
@@ -77,10 +69,9 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
     dropped or scaled, so one column gather serves both. ``B`` is the block
     the syrk reads and leaves intact, ``A[rows, cols] * s[:, None]`` with
     ``s = sqrt(w[rows])``. ``gram`` is None when ``B`` has fewer rows than
-    columns: ``B^T B`` then has rank below its order, and the coarse solve
-    factors the smaller capacitance matrix ``B D^-1 B^T + I / c`` from ``B``
-    instead (``coarse.coarse_direction``); only a regularizer diagonal ``D``
-    with a zero makes the caller form ``B^T B`` after all.
+    columns: ``B^T B`` then has rank below its order, and
+    ``coarse.galerkin_system`` chooses from ``B`` whether the coarse solve
+    factors the smaller capacitance matrix or forms ``B^T B`` after all.
     """
     w, v = w if isinstance(w, tuple) else (w, None)
     block = A if cols.shape[0] == A.shape[1] else A[:, cols]

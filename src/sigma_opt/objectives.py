@@ -105,14 +105,6 @@ class Regularization:
 
 
 @dataclass(frozen=True)
-class DomainStatus:
-    """Feasibility of an iterate; ``margin`` is ``min_i a_i^T x`` for Poisson."""
-
-    feasible: bool
-    margin: float
-
-
-@dataclass(frozen=True)
 class Point:
     """The model evaluated once at an iterate ``x``: the margins ``z = A x``
     (formed, or carried by the caller), the objective ``f``, and the first-
@@ -188,12 +180,6 @@ class ObjectiveModel:
         if self.kind == POISSON and float(z.min()) <= 0.0:
             raise OutOfDomain(f"Poisson margin min a_i^T x = {float(z.min()):.3e} <= 0")
 
-    def domain_status(self, x: np.ndarray) -> DomainStatus:
-        if self.kind != POISSON:
-            return DomainStatus(feasible=True, margin=np.inf)
-        margin = float(self.predict(x).min())
-        return DomainStatus(feasible=margin > 0.0, margin=margin)
-
     # -- oracles -----------------------------------------------------------
 
     def point(self, x: np.ndarray, z: np.ndarray | None = None) -> Point:
@@ -225,8 +211,7 @@ class ObjectiveModel:
     def hessian(self, x: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
         """Dense N x N Hessian, exactly symmetric; intended for N small enough to
         materialize. It is :meth:`reduced_hessian` over every column and row."""
-        return self.reduced_hessian(x, np.arange(self.dataset.N, dtype=np.int64), w2=w2,
-                                    checked=True)
+        return self.reduced_hessian(x, np.arange(self.dataset.N, dtype=np.int64), w2=w2)
 
     def reduced_gradient(self, x: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Gradient restricted to the coordinate set ``S`` (exact slice)."""
@@ -239,60 +224,20 @@ class ObjectiveModel:
         S: np.ndarray,
         row_sample: np.ndarray | None = None,
         w2: np.ndarray | None = None,
-        *,
-        checked: bool = False,
     ) -> np.ndarray:
         """The ``S x S`` block of the Hessian in O(len(rows) * n^2).
 
         With ``row_sample`` given, the data term is the reweighted sum over the
         sampled rows (full rows reproduce the exact block). Never forms the
         N x N Hessian. ``w2`` is the curvature row weights at ``x``, taken from
-        ``point(x)`` when not given. ``checked=True`` says the caller has
-        already validated ``S`` (a :class:`~sigma_opt.coarse.CoarseOperator`
-        does so on construction).
+        ``point(x)`` when not given.
         """
-        if not checked:
-            S = _check_index_set(S, self.dataset.N)
+        S = _check_index_set(S, self.dataset.N)
         rows = self._rows(row_sample)
         if w2 is None:
             w2 = self.point(x).w2
         gram = kernels.gram_gather(self.dataset.A, w2, S, rows)
         return self._hessian_block(gram, self._row_coeff(rows.shape[0]), self.reg.hess_diag(x[S]))
-
-    def reduced_system(self, x: np.ndarray, S: np.ndarray, point: Point,
-                       row_sample: np.ndarray | None = None, *,
-                       checked: bool = False):
-        """``(q, g_S, block, s)`` at ``point``: the reduced curvature, the
-        gradient on ``S`` over every row (``point.g[S]`` up to rounding) and
-        the Gram's scaled block ``B = A[rows, S] * s[:, None]`` with
-        ``s = sqrt(w2[rows])`` (:func:`kernels.gram_gather`), all from one
-        gather of ``A[:, S]`` and without the full ``A^T w1``.
-
-        The curvature is ``Q = c B^T B + diag(D)``, with ``c`` the row
-        coefficient and ``D`` the regularizer's Hessian diagonal on ``S``.
-        ``q`` is the pair ``(c, D)`` when ``B`` has fewer rows than columns
-        and every entry of ``D`` is positive; the n x n matrix is then never
-        formed. Otherwise ``q`` is that matrix, :meth:`reduced_hessian` bit
-        for bit. ``s`` is set when ``(B d) / s`` is ``A[:, S] d`` to
-        rounding: every row is kept and ``min(s) >= kernels.SCALE_FLOOR``.
-        ``block`` is None when neither ``q`` nor ``s`` needs it.
-        """
-        if not checked:
-            S = _check_index_set(S, self.dataset.N)
-        rows = self._rows(row_sample)
-        gram, bw, (block, s) = kernels.gram_gather(self.dataset.A, (point.w2, point.w1), S, rows)
-        coeff, diag = self._row_coeff(rows.shape[0]), self.reg.hess_diag(x[S])
-        if gram is None and float(diag.min()) > 0.0:
-            q = (coeff, diag)
-        else:
-            # a short block's Gram is formed here only when D has a zero
-            q = self._hessian_block(block.T @ block if gram is None else gram, coeff, diag)
-        g = self._row_coeff(self.dataset.m) * bw + self.reg.grad(x[S])
-        if rows.shape[0] < self.dataset.m or float(s.min()) < kernels.SCALE_FLOOR:
-            s = None
-        if s is None and not isinstance(q, tuple):
-            block = None
-        return q, g, block, s
 
     def _rows(self, row_sample: np.ndarray | None) -> np.ndarray:
         m = self.dataset.m
@@ -443,22 +388,3 @@ def feasible_start(model: ObjectiveModel) -> np.ndarray:
     raise NoFeasibleStart(
         "rows cannot all be made positive along the all-ones direction; supply x0 explicitly"
     )
-
-
-def positive_margin_start(dataset: Dataset, target_mean: float = 5.0, tries: int = 20,
-                          seed: int = 0) -> np.ndarray:
-    """Search for ``x`` with ``A x`` entrywise positive, rescaled so the margins
-    average ``target_mean``.
-
-    Tries least squares against positive targets first, then decides the
-    feasibility cone exactly with an LP. Complements :func:`feasible_start`
-    when the all-ones heuristic fails, e.g. for Haar-random matrices whose row
-    sums have mixed signs.
-    """
-    from .data import _positive_margin_vector
-
-    gen = np.random.default_rng(seed)
-    x = _positive_margin_vector(dataset.A, gen, tries)
-    if x is None:
-        raise NoFeasibleStart("the domain {x : A x > 0} is empty or numerically so")
-    return x * (target_mean / float((dataset.A @ x).mean()))

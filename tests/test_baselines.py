@@ -229,7 +229,7 @@ class TestSharedBehavior:
         for method in ("gd", "newton", "sgd"):
             cfg = BaselineConfig(method=method, sgd_t=0.01, epsilon=1e-8, max_iter=30, seed=8)
             res = baseline_solve(model, x0, cfg)
-            assert model.domain_status(res.x_final).feasible
+            assert model.predict(res.x_final).min() > 0
 
     def test_determinism(self, gen):
         model = random_logistic_model(gen, m=30, N=6)

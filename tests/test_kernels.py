@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sigma_opt import Dataset, kernels, make_objective
+from sigma_opt import CoarseOperator, Dataset, galerkin_system, kernels, make_objective
+from sigma_opt.coarse import SCALE_FLOOR
 from sigma_opt.objectives import Point
 
 
@@ -100,15 +101,15 @@ def test_scaled_block_gives_the_step_margins(kind, layout, gen):
 
 @pytest.mark.parametrize("case", ["row_subset", "zero_weight", "below_floor"])
 def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
-    # the kernel hands back the block over the kept rows; the model keeps it
-    # for the step's A d only when every row is kept at a normal scale
+    # the kernel hands back the block over the kept rows; galerkin_system
+    # keeps it for the step's A d only when every row is kept at a normal scale
     m, N = 50, 10
     A, w = gen.standard_normal((m, N)), np.abs(gen.standard_normal(m))
     cols, rows = np.array([1, 4, 7], dtype=np.int64), np.arange(m, dtype=np.int64)
     if case == "row_subset":
         rows = rows[::2]
     else:
-        w[17] = 0.0 if case == "zero_weight" else (0.5 * kernels.SCALE_FLOOR) ** 2
+        w[17] = 0.0 if case == "zero_weight" else (0.5 * SCALE_FLOOR) ** 2
     v = gen.standard_normal(m)
     gram, product, (B, s) = kernels.gram_gather(A, (w, v), cols, rows)
     assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
@@ -117,9 +118,9 @@ def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
     model = make_objective("gaussian", Dataset(A, gen.standard_normal(m)))
     x = np.zeros(N)
     point = Point(model, x, np.zeros(m), 0.0, v, w)
-    q, g, block, s = model.reduced_system(x, cols, point, None if case != "row_subset" else rows)
-    assert block is None and s is None
-    assert np.array_equal(q, model.reduced_hessian(x, cols, rows, w2=w))
+    system = galerkin_system(model, x, CoarseOperator(cols, N), rows, point=point)
+    assert system.block is None and system.s is None
+    assert np.array_equal(system.q, model.reduced_hessian(x, cols, rows, w2=w))
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])

@@ -73,13 +73,9 @@ class TestEvaluate:
         model = make_objective("poisson", Dataset(np.array([[1.0]]), np.array([1.0])))
         with pytest.raises(OutOfDomain):
             model.evaluate(np.array([-0.5]))
-        status = model.domain_status(np.array([-0.5]))
-        assert not status.feasible and status.margin == pytest.approx(-0.5)
-
-    def test_domain_status_non_poisson(self, gen):
-        model = random_gaussian_model(gen)
-        s = model.domain_status(gen.standard_normal(16))
-        assert s.feasible and s.margin == np.inf
+        with pytest.raises(OutOfDomain):
+            model.point(np.array([-0.5]))
+        assert model.predict(np.array([-0.5])).min() == pytest.approx(-0.5)
 
 
 class TestGradient:
@@ -210,7 +206,7 @@ class TestFeasibleStart:
     def test_positive_matrix_margin_at_least_one(self, gen):
         model = random_poisson_model(gen, m=20, N=6)
         x0 = feasible_start(model)
-        assert model.domain_status(x0).margin >= 1.0 - 1e-12
+        assert model.predict(x0).min() >= 1.0 - 1e-12
 
     def test_zero_row_fails(self):
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -228,7 +224,7 @@ class TestFeasibleStart:
         A = np.array([[-1.0, -0.5], [-0.2, -1.0]])
         model = make_objective("poisson", Dataset(A, np.array([1.0, 1.0])))
         x0 = feasible_start(model)
-        assert model.domain_status(x0).margin >= 1.0 - 1e-12
+        assert model.predict(x0).min() >= 1.0 - 1e-12
 
 
 class TestLabelNormalization:

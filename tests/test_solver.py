@@ -179,7 +179,7 @@ class TestArmijo:
         assert float(g @ d) < 0
         t, _ = armijo_search(Ray(model.point(x), d), float(g @ d), t0=1.0, alpha=0.25, beta=0.5)
         assert t < 0.5
-        assert model.domain_status(x + t * d).feasible
+        assert model.predict(x + t * d).min() > 0
 
     def test_always_satisfies_armijo_inequality(self, gen):
         model = random_logistic_model(gen, m=20, N=6)
@@ -228,13 +228,13 @@ class TestPoissonFeasibleStep:
         # feasibility requires t < 0.5
         t0 = poisson_feasible_step(self.ray(-2.0), 3.0, 2.0)
         assert t0 < 0.5
-        assert self.model.domain_status(np.array([1.0]) + t0 * np.array([-2.0])).feasible
+        assert self.model.predict(np.array([1.0]) + t0 * np.array([-2.0])).min() > 0
 
     def test_zeta_maximal(self):
         x, d = np.array([1.0]), np.array([-2.0])
         for lam in (0.5, 1.0, 3.0):
             t0 = poisson_feasible_step(self.ray(-2.0), lam, 2.0)
-            assert t0 == 1.0 or not self.model.domain_status(x + 2.0 * t0 * d).feasible
+            assert t0 == 1.0 or not self.model.predict(x + 2.0 * t0 * d).min() > 0
 
     def test_infeasible_start_halved(self):
         # damped start 1/(1+0.1) ~ 0.91 is infeasible; must shrink below 0.5
@@ -424,7 +424,7 @@ class TestSelfConcordantBehavior:
         scale = 0.5
         for _ in range(40):
             x = x_star + scale * u
-            if not model.domain_status(x).feasible:
+            if not model.predict(x).min() > 0:
                 scale *= 0.5
                 continue
             lam = newton_direction(model, x).lam

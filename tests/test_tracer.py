@@ -45,3 +45,18 @@ def test_solves_record_the_layer_spans(tracing):
                 "solver.poisson_feasible_step", "solver.armijo_search",
                 "coarse.newton_direction"}
     assert expected <= recorded, sorted(expected - recorded)
+
+
+def test_sigma_gram_is_traced_under_the_galerkin_system(tracing):
+    # coarse.py must call kernels.gram_gather through the module: a name
+    # imported into coarse would escape the tracer's wrapper, and only the
+    # Newton Hessian's Gram would keep the span name in the recorded set
+    model, _ = positive_poisson_instance(m=40, N=10)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sigma_solve(model, feasible_start(model), SigmaConfig(n=4, epsilon=1e-12, max_iter=5,
+                                                              seed=1))
+    spans = tracer.spans
+    parents = {spans[parent][0] for name, _, _, parent, _ in spans
+               if name == "kernels.gram_gather" and parent >= 0}
+    assert "coarse.galerkin_system" in parents
