@@ -366,6 +366,16 @@ class TestStandardize:
         out = standardize(Dataset(A, np.zeros(3)))
         assert np.array_equal(out.A[:, 0], np.zeros(3))  # (3 - 3) / 1, not / ~0
 
+    def test_column_moments_labels_and_input_kept(self, gen):
+        A = 3.0 + 2.0 * gen.standard_normal((20, 3))
+        ds = Dataset(A, gen.standard_normal(20))
+        before = ds.A.copy()
+        out = standardize(ds)
+        assert np.allclose(out.A.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(out.A.std(axis=0), 1.0, atol=1e-12)
+        assert np.array_equal(out.b, ds.b)
+        assert np.array_equal(ds.A, before)
+
     def test_needs_two_rows(self):
         with pytest.raises(InvalidDimensions):
             standardize(Dataset(np.ones((1, 2)), np.zeros(1)))

@@ -77,6 +77,14 @@ class TestEvaluate:
             model.point(np.array([-0.5]))
         assert model.predict(np.array([-0.5])).min() == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("make", [random_gaussian_model, random_logistic_model])
+    def test_non_poisson_has_no_domain(self, make, gen):
+        # A predictor far below zero, out of Poisson's domain, is an ordinary point here.
+        model = make(gen)
+        x = -1e3 * np.ones(model.dataset.N)
+        assert model.predict(x).min() < 0
+        assert np.isfinite(model.point(x).f)
+
 
 class TestGradient:
     def test_gaussian_identity_rows(self):
