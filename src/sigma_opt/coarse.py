@@ -128,7 +128,7 @@ def galerkin_system(
         q = (coeff, diag)
     else:
         # a short block's Gram is formed here only when D has a zero
-        q = model._hessian_block(block.T @ block if gram is None else gram, coeff, diag)
+        q = model._hessian_block(gram, block, coeff, diag)
     g = model._row_coeff(A.shape[0]) * bw + model.reg.grad(x[S])
     if rows.shape[0] < A.shape[0] or float(s.min()) < SCALE_FLOOR:
         s = None

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     RaggedRows,
 )
-from .objectives import GAUSSIAN, KINDS, LOGISTIC, Dataset
+from .objectives import GAUSSIAN, KINDS, POISSON, Dataset
 from .rng import RngState
 
 logger = logging.getLogger(__name__)
@@ -109,18 +109,12 @@ def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndar
     A = np.asarray(A, dtype=np.float64)
     m, N = A.shape
     gen = rng.child()
-    if spec.kind == GAUSSIAN:
-        x_true = gen.standard_normal(N)
-        b = A @ x_true
-        if spec.sigma_noise > 0:
-            b = b + spec.sigma_noise * gen.standard_normal(m)
-        return b, x_true
-    if spec.kind == LOGISTIC:
+    if spec.kind != POISSON:
         x_true = gen.standard_normal(N)
         s = A @ x_true
         if spec.sigma_noise > 0:
             s = s + spec.sigma_noise * gen.standard_normal(m)
-        return np.where(s >= 0, 1.0, -1.0), x_true
+        return (s if spec.kind == GAUSSIAN else np.where(s >= 0, 1.0, -1.0)), x_true
     # poisson counts: need strictly positive margins for the rate vector
     x_true = _positive_margin_vector(A, gen, tries=100)
     if x_true is None:
@@ -238,8 +232,8 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     indices) into a dense, column-major dataset.
 
     The feature count is inferred from the largest index unless overridden;
-    it must be positive. Binary {0, 1} label files are normalized to {-1, +1};
-    all other label values are kept as-is.
+    it must be positive. Labels are kept as written: only
+    :func:`~sigma_opt.objectives.make_objective` interprets them.
     """
     parsed = _libsvm_fast(path)
     if isinstance(parsed, int):
@@ -255,8 +249,6 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
         raise InvalidDimensions(f"file has index {max_idx} but n_features={N}")
     A = np.zeros((labels.size, N), order="F")
     A[rows, idx - 1] = vals
-    if set(np.unique(labels).tolist()) <= {0.0, 1.0}:
-        labels = np.where(labels > 0.5, 1.0, -1.0)
     return Dataset(A, labels)
 
 

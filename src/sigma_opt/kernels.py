@@ -9,13 +9,13 @@ Two kernel families dominate a solver iteration:
   O(m n^2) reduced-curvature assembly, and over every row and column the
   dense Hessian's data term. It gathers the columns ``A[:, cols]`` once,
   keeps the sampled rows, scales them by ``sqrt(w)`` (nonnegative for all
-  three GLMs) and returns ``B^T B``, which numpy runs as one BLAS syrk: the
+  three GLMs) and forms ``B^T B``, which numpy runs as one BLAS syrk: the
   result is exactly symmetric with no mirror step. ``A`` is never modified,
-  and a row- or column-major ``A`` gives the same bits. The same column
-  gather can also give ``A[:, cols]^T v`` over every row for a row vector
-  ``v``, SIGMA's restricted gradient, and hand back the scaled block ``B``.
-  From ``B`` follow the coarse step's ``A[:, cols] d`` without a second
-  gather and, when ``B`` has fewer rows than columns, the coarse solve
+  and a row- or column-major ``A`` gives the same Gram bits. It has one
+  calling form, which also gives ``A[:, cols]^T v`` over every row for a row
+  vector ``v`` (SIGMA's restricted gradient) and hands back the scaled block
+  ``B``. From ``B`` follow the coarse step's ``A[:, cols] d`` without a
+  second gather and, when ``B`` has fewer rows than columns, the coarse solve
   without the n x n Gram (``coarse.galerkin_system`` decides which).
 """
 
@@ -59,21 +59,22 @@ def glm_terms(kind: str, z: np.ndarray, b: np.ndarray):
     return _TERMS[kind](z, b)
 
 
-def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
-    """``sum_{i in rows} w[i] * A[i, cols] A[i, cols]^T`` as an exactly symmetric matrix.
+def gram_gather(A: np.ndarray, wv: tuple, cols: np.ndarray, rows: np.ndarray):
+    """``(gram, product, (B, s))`` for the row weights and row vector ``(w, v)``.
 
-    ``cols`` and ``rows`` are strictly increasing index arrays. ``w`` must be
-    nonnegative: rows are scaled by ``sqrt(w)``. Given a pair ``(w, v)`` of
-    row vectors instead, it returns ``(gram, A[:, cols]^T v, (B, s))``: the
-    product runs over every row, from the gathered columns before any row is
-    dropped or scaled, so one column gather serves both. ``B`` is the block
-    the syrk reads and leaves intact, ``A[rows, cols] * s[:, None]`` with
-    ``s = sqrt(w[rows])``. ``gram`` is None when ``B`` has fewer rows than
-    columns: ``B^T B`` then has rank below its order, and
-    ``coarse.galerkin_system`` chooses from ``B`` whether the coarse solve
-    factors the smaller capacitance matrix or forms ``B^T B`` after all.
+    ``gram`` is ``sum_{i in rows} w[i] * A[i, cols] A[i, cols]^T``, exactly
+    symmetric. ``cols`` and ``rows`` are strictly increasing index arrays.
+    ``w`` must be nonnegative: rows are scaled by ``sqrt(w)``. ``product`` is
+    ``A[:, cols]^T v`` over every row, from the gathered columns before any
+    row is dropped or scaled, so one column gather serves both; it is None
+    when ``v`` is. ``B`` is the block the syrk reads and leaves intact,
+    ``A[rows, cols] * s[:, None]`` with ``s = sqrt(w[rows])``. ``gram`` is
+    None when ``B`` has fewer rows than columns: ``B^T B`` then has rank
+    below its order, and the caller decides from ``B`` whether to form it
+    (``ObjectiveModel._hessian_block``) or to factor the smaller capacitance
+    matrix (``coarse.galerkin_system``).
     """
-    w, v = w if isinstance(w, tuple) else (w, None)
+    w, v = wv
     block = A if cols.shape[0] == A.shape[1] else A[:, cols]
     product = None if v is None else block.T @ v
     if rows.shape[0] < A.shape[0]:
@@ -83,9 +84,5 @@ def gram_gather(A: np.ndarray, w, cols: np.ndarray, rows: np.ndarray):
         block = A * s[:, None]
     else:
         block *= s[:, None]
-    if v is None:
-        # the square roots are freed before the syrk allocates the result
-        del s
-        return block.T @ block
     gram = block.T @ block if block.shape[0] >= block.shape[1] else None
     return gram, product, (block, s)

@@ -10,7 +10,7 @@ Conventions:
 * The Poisson loss is the *sum* over rows multiplied by ``M^2/4`` with
   ``M = 2 sqrt(m) max_i(1/sqrt(b_i))``, which makes the objective
   self-concordant with constant 2; the regularizers are added unscaled.
-* Logistic labels live in {-1, +1}; {0, 1} inputs are mapped on ingestion.
+* Logistic labels live in {-1, +1}; {0, 1} labels are mapped by :func:`make_objective`.
 """
 
 from dataclasses import dataclass, field
@@ -236,16 +236,18 @@ class ObjectiveModel:
         rows = self._rows(row_sample)
         if w2 is None:
             w2 = self.point(x).w2
-        gram = kernels.gram_gather(self.dataset.A, w2, S, rows)
-        return self._hessian_block(gram, self._row_coeff(rows.shape[0]), self.reg.hess_diag(x[S]))
+        gram, _, (block, _) = kernels.gram_gather(self.dataset.A, (w2, None), S, rows)
+        coeff = self._row_coeff(rows.shape[0])
+        return self._hessian_block(gram, block, coeff, self.reg.hess_diag(x[S]))
 
     def _rows(self, row_sample: np.ndarray | None) -> np.ndarray:
         m = self.dataset.m
         return np.arange(m, dtype=np.int64) if row_sample is None else _check_index_set(row_sample, m)
 
     @staticmethod
-    def _hessian_block(gram: np.ndarray, coeff: float, diag: np.ndarray) -> np.ndarray:
-        # scaled in place: one n x n matrix, not two
+    def _hessian_block(gram, block: np.ndarray, coeff: float, diag: np.ndarray) -> np.ndarray:
+        # B^T B where gram_gather skipped the syrk; scaled in place: one n x n matrix, not two
+        gram = block.T @ block if gram is None else gram
         gram *= coeff
         gram.flat[::gram.shape[0] + 1] += diag
         return gram

@@ -36,6 +36,7 @@ from .coarse import (
 from .core import DECREMENT_SQ_LIMIT, sample_without_replacement
 from .errors import (
     DomainError,
+    InvalidDimensions,
     LineSearchFailed,
     MissingNewtonDecrement,
     NotPositiveDefinite,
@@ -318,6 +319,8 @@ def drive(
     iterate outside the domain (its exact margins at a refresh, where the
     carried ones were inside), the run ends with ``status == "error"`` at the
     last iterate it accepted, whose row keeps the step that was taken from it.
+    It ends so too, with every row kept, when the last iterate's exact
+    margins, formed for the terminal row's gradient norm, leave the domain.
 
     The trace has one row per iterate including the starting point; row ``k``
     holds the objective and decrement at iterate ``k`` together with the step
@@ -385,10 +388,14 @@ def _finish(result: SolveResult, model: ObjectiveModel, x: np.ndarray,
     """End the run at ``x``. If its margins ``z`` were carried, ``x`` is
     evaluated once more with ``A x`` formed, for the terminal row's exact
     gradient norm; its ``f`` is kept, so the objective column stays the one
-    the steps were accepted on."""
+    the steps were accepted on. If those exact margins leave the Poisson
+    domain, the run ends with ``status == "error"`` and keeps its trace."""
     result.x_final = x
     if z is not None:
-        result.trace[-1].grad_norm = float(np.linalg.norm(model.point(x).g))
+        try:
+            result.trace[-1].grad_norm = float(np.linalg.norm(model.point(x).g))
+        except OutOfDomain as exc:
+            result.status, result.message = ERROR, result.message or str(exc)
     return result
 
 
@@ -397,10 +404,12 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
 
     Identical configs (including the seed) produce bit-identical traces except
     for the wall-clock column. Raises :class:`OutOfDomain` if ``x0`` is
-    infeasible; reduced-system factorization failures end the run with
-    ``status == "error"``.
+    infeasible and :class:`InvalidDimensions` if ``row_sample`` exceeds ``m``;
+    reduced-system factorization failures end the run with ``status == "error"``.
     """
     N, m = model.dataset.N, model.dataset.m
+    if cfg.row_sample is not None and cfg.row_sample > m:
+        raise InvalidDimensions(f"rows={cfg.row_sample} exceeds m={m}")
     rng = RngState(cfg.seed)
     frozen = build_operator(N, cfg.n, rng) if cfg.freeze_operator else None
     sample_rows = cfg.row_sample is not None and cfg.row_sample < m

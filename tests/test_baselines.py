@@ -6,10 +6,12 @@ from sigma_opt import (
     BaselineConfig,
     Dataset,
     Regularization,
+    SigmaConfig,
     baseline_solve,
     feasible_start,
     make_objective,
     newsamp_hessian,
+    sigma_solve,
 )
 from sigma_opt.errors import InvalidDimensions, NotPositiveDefinite
 
@@ -146,8 +148,11 @@ class TestSubNewton:
 
     def test_rows_exceeding_m_rejected(self, gen):
         model = random_gaussian_model(gen, m=10, N=4)
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InvalidDimensions, match="rows=11 exceeds m=10"):
             baseline_solve(model, np.zeros(4), BaselineConfig(method="subnewton", rows=11))
+        # SIGMA's row_sample is fed by the same --rows flag
+        with pytest.raises(InvalidDimensions, match="rows=11 exceeds m=10"):
+            sigma_solve(model, np.zeros(4), SigmaConfig(n=2, row_sample=11))
 
 
 class TestNewsampHessian:

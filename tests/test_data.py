@@ -44,18 +44,24 @@ class TestLibsvm:
         assert np.allclose(ds.A, [[0.5, 0.0, -2.0]])
         assert ds.b.tolist() == [1.0]
 
-    def test_zero_one_labels_normalized(self, tmp_path):
-        p = tmp_path / "d.libsvm"
-        p.write_text("1 1:0.5 3:-2\n0 2:1\n")
-        ds = load_libsvm(p)
-        assert ds.b.tolist() == [1.0, -1.0]
+    def test_zero_one_labels_kept_as_written(self, tmp_path):
+        # as load_csv keeps them; only make_objective interprets labels
+        p, q = tmp_path / "d.libsvm", tmp_path / "d.csv"
+        p.write_text("1 1:1\n0 1:1\n1 1:1\n")
+        q.write_text("1,1\n1,0\n1,1\n")
+        from_libsvm, from_csv = load_libsvm(p), load_csv(q)
+        assert from_libsvm.b.tolist() == from_csv.b.tolist() == [1.0, 0.0, 1.0]
+        assert np.array_equal(from_libsvm.A, from_csv.A)
+        f0 = [make_objective("gaussian", ds).evaluate(np.zeros(1)) for ds in (from_libsvm, from_csv)]
+        assert f0[0] == f0[1] == pytest.approx(1.0 / 3.0)
+        assert make_objective("logistic", from_libsvm).dataset.b.tolist() == [1.0, -1.0, 1.0]
 
     def test_empty_feature_list(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("0\n1 2:3\n")
         ds = load_libsvm(p)
         assert np.allclose(ds.A[0], 0.0)
-        assert ds.b[0] == -1.0
+        assert ds.b.tolist() == [0.0, 1.0]
 
     def test_malformed_token(self, tmp_path):
         p = tmp_path / "d.libsvm"
@@ -488,7 +494,7 @@ class TestLibsvmPaths:
         monkeypatch.setattr(data, "_libsvm_tokens", fail)
         back = load_libsvm(p, n_features=9)
         assert np.array_equal(back.A, ds.A)
-        assert np.array_equal(back.b, np.where(ds.b > 0.5, 1.0, -1.0))
+        assert np.array_equal(back.b, ds.b)
 
     def test_fallback_logs_the_line(self, tmp_path, caplog):
         p = tmp_path / "d.libsvm"

@@ -36,13 +36,17 @@ def test_gram_numpy_matches_reference(case, gen):
         cols = np.arange(N, dtype=np.int64)
     elif case == "single_column":
         cols = np.array([2], dtype=np.int64)
-    # the same bits from a row-major and a column-major A
+    # the same Gram bits from a row-major and a column-major A
     qs = []
     for layout in (np.ascontiguousarray, np.asfortranarray):
         X = layout(A)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            qs.append(kernels.gram_gather(X, w, cols, rows))
+            gram, product, (B, s) = kernels.gram_gather(X, (w, None), cols, rows)
+        assert product is None
+        assert np.array_equal(s, np.sqrt(w[rows]))
+        assert np.array_equal(B, A[np.ix_(rows, cols)] * s[:, None])
+        qs.append(gram)
         assert np.array_equal(X, A_before)
     q = qs[0]
     assert np.array_equal(qs[1], q)
@@ -61,7 +65,8 @@ def test_gram_pair_product_runs_over_every_row(layout, gen):
     rows = np.sort(gen.choice(m, size=45, replace=False)).astype(np.int64)
     gram, product, _ = kernels.gram_gather(A, (w, v), cols, rows)
     assert np.array_equal(product, A[:, cols].T @ v)
-    assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
+    # the product does not touch the Gram's bits
+    assert np.array_equal(gram, kernels.gram_gather(A, (w, None), cols, rows)[0])
 
 
 def _glm_rows(kind, gen, m, N):
@@ -88,7 +93,8 @@ def test_scaled_block_gives_the_step_margins(kind, layout, gen):
     cols = np.sort(gen.choice(N, size=n, replace=False)).astype(np.int64)
     rows = np.arange(m, dtype=np.int64)
     gram, product, (B, s) = kernels.gram_gather(A, (w2, w1), cols, rows)
-    assert np.array_equal(gram, kernels.gram_gather(A, w2, cols, rows))
+    # the syrk left B intact: it gives the Gram's bits again
+    assert np.array_equal(gram, B.T @ B)
     assert np.array_equal(product, A[:, cols].T @ w1)
     for _ in range(5):
         d = gen.standard_normal(n)
@@ -112,7 +118,7 @@ def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
         w[17] = 0.0 if case == "zero_weight" else (0.5 * SCALE_FLOOR) ** 2
     v = gen.standard_normal(m)
     gram, product, (B, s) = kernels.gram_gather(A, (w, v), cols, rows)
-    assert np.array_equal(gram, kernels.gram_gather(A, w, cols, rows))
+    assert np.array_equal(gram, B.T @ B)
     assert np.array_equal(s, np.sqrt(w[rows]))
     assert np.array_equal(B, A[np.ix_(rows, cols)] * s[:, None])
     model = make_objective("gaussian", Dataset(A, gen.standard_normal(m)))
@@ -126,16 +132,22 @@ def test_no_scaled_block_without_every_row_at_a_normal_scale(case, gen):
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
 def test_short_block_skips_the_gram(layout, gen):
     # fewer kept rows than columns: B^T B is rank deficient, and the caller
-    # solves from B instead of forming it
+    # solves from B or forms B^T B itself, as reduced_hessian does
     m, N = 30, 60
     A = layout(gen.standard_normal((m, N)))
     w, v = np.abs(gen.standard_normal(m)), gen.standard_normal(m)
     cols = np.sort(gen.choice(N, size=40, replace=False)).astype(np.int64)
+    model = make_objective("gaussian", Dataset(A, gen.standard_normal(m)))
+    x = np.zeros(N)
     for rows in (np.arange(m, dtype=np.int64), np.arange(0, m, 2, dtype=np.int64)):
         gram, product, (B, s) = kernels.gram_gather(A, (w, v), cols, rows)
         assert gram is None
         assert np.array_equal(product, A[:, cols].T @ v)
-        assert np.array_equal(B.T @ B, kernels.gram_gather(A, w, cols, rows))
+        expected = gram_reference(A, w, cols, rows)
+        np.testing.assert_allclose(B.T @ B, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        hessian = model.reduced_hessian(x, cols, rows, w2=w)
+        assert np.array_equal(hessian, model._row_coeff(rows.shape[0]) * (B.T @ B))
 
 
 def test_logistic_terms_stable_at_extreme_margins():

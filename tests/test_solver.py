@@ -712,12 +712,22 @@ def test_same_iterations_on_row_and_column_major_data(method, gen):
     assert results[0].iterations == results[1].iterations
 
 
-def test_iterate_out_of_domain_ends_the_run(monkeypatch):
+@pytest.mark.parametrize("where", ["refresh", "terminal"])
+def test_iterate_out_of_domain_ends_the_run(where, monkeypatch):
     # SGD's steps keep the carried margins z + t A d inside the Poisson domain,
-    # but at a refresh iterate A x is formed exactly and a margin reads 0
-    A = np.random.default_rng(77).uniform(0.1, 1.1, (200, 50))
-    b, _ = synth_labels(A, LabelSpec("poisson", 0, 78), RngState(78))
-    model = make_objective("poisson", Dataset(A, b), Regularization(xi2=1e-6))
+    # but where A x is formed exactly a margin reads 0 or below: at a refresh
+    # iterate, or at the last iterate for the terminal row's gradient norm
+    if where == "refresh":
+        A = np.random.default_rng(77).uniform(0.1, 1.1, (200, 50))
+        b, _ = synth_labels(A, LabelSpec("poisson", 0, 78), RngState(78))
+        model = make_objective("poisson", Dataset(A, b), Regularization(xi2=1e-6))
+        x0, cfg = feasible_start(model), BaselineConfig(method="sgd", seed=3)
+    else:
+        # column-major, as every loader and the generator give A
+        model, x0 = positive_poisson_instance(m=80, N=20)
+        data = Dataset(np.asfortranarray(model.dataset.A), model.dataset.b)
+        model = make_objective("poisson", data, model.reg)
+        cfg = BaselineConfig(method="sgd", epsilon=1e-14, max_iter=25, seed=2)
     accepted = []
 
     def recorded(self, x, z=None, _orig=ObjectiveModel.point):
@@ -726,11 +736,13 @@ def test_iterate_out_of_domain_ends_the_run(monkeypatch):
         return point
 
     monkeypatch.setattr(ObjectiveModel, "point", recorded)
-    res = baseline_solve(model, feasible_start(model), BaselineConfig(method="sgd", seed=3))
+    res = baseline_solve(model, x0, cfg)
     assert res.status == "error"
     assert res.message.startswith("Poisson margin min a_i^T x = ")
     assert len(accepted) == len(res.trace) > 1
     assert np.array_equal(res.x_final, accepted[-1])
+    if where == "terminal":
+        assert len(res.trace) == cfg.max_iter + 1
 
 
 def _record_coarse_steps(monkeypatch):

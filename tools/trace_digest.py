@@ -1,13 +1,15 @@
 """Fixed-seed solves, one digest line each, for comparing two checkouts.
 
-Prints one ``name sha256`` line per run. The hash covers the status, the
-message, ``x_final`` and the ``float.hex`` of every trace column except
-``elapsed_s``, so two checkouts that print the same lines produced the same
-trace bits. The runs cover the three GLMs on row- and column-major ``A``
-(SIGMA in each check mode, with ``row_sample`` and with ``freeze_operator``,
-and the five baselines) and a matrix with fewer rows than the coarse
-dimension, with and without a regularizer (the capacitance solve and the
-shifted n x n Cholesky).
+Prints one ``name sha256`` line per run, or ``name raised <ExceptionType>``
+for a run that raises. The hash covers the status, the message, ``x_final``
+and the ``float.hex`` of every trace column except ``elapsed_s``, so two
+checkouts that print the same lines produced the same trace bits. The runs
+cover the three GLMs on row- and column-major ``A`` (SIGMA in each check
+mode, with ``row_sample`` and with ``freeze_operator``, and the five
+baselines), a matrix with fewer rows than the coarse dimension, with and
+without a regularizer (the capacitance solve and the shifted n x n
+Cholesky), and an SGD run whose last iterate's exact Poisson margins leave
+the domain.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -55,16 +57,16 @@ def instance(kind, m, N, seed, xi2=1e-6):
     else:
         A = so.svd_gap_matrix(so.SvdGapSpec(m=m, N=N, p=max(1, N // 5), gap=30.0, seed=seed),
                               so.RngState(seed))
-    b, _ = so.synth_labels(A, so.LabelSpec(kind, sigma_noise=0.1, seed=seed + 1),
-                           so.RngState(seed + 1))
-    return A, b, so.Regularization(xi2=xi2)
+    b, x_true = so.synth_labels(A, so.LabelSpec(kind, sigma_noise=0.1, seed=seed + 1),
+                                so.RngState(seed + 1))
+    return A, b, x_true, so.Regularization(xi2=xi2)
 
 
 def runs():
     """``(name, solve, model, x0, config)`` for each run."""
     common = dict(epsilon=1e-12, max_iter=40)
     for kind, seed in itertools.product(("gaussian", "logistic", "poisson"), (11, 12)):
-        A, b, reg = instance(kind, 90, 30, seed)
+        A, b, _, reg = instance(kind, 90, 30, seed)
         for layout in (np.ascontiguousarray, np.asfortranarray):
             model = so.make_objective(kind, so.Dataset(layout(A), b), reg)
             x0 = so.feasible_start(model)
@@ -80,17 +82,27 @@ def runs():
                 yield f"{tag}-{method}", so.baseline_solve, model, x0, cfg
     for kind, seed in (("gaussian", 21), ("logistic", 22)):
         for xi2 in (1e-4, 0.0):
-            A, b, reg = instance(kind, 20, 120, seed, xi2=xi2)
+            A, b, _, reg = instance(kind, 20, 120, seed, xi2=xi2)
             model = so.make_objective(kind, so.Dataset(A, b), reg)
             cfg = so.SigmaConfig(n=60, seed=5, **common)
             yield f"{kind}-wide-xi2={xi2:g}", so.sigma_solve, model, so.feasible_start(model), cfg
+    # SGD from the ground truth: the carried margins stay positive, but the
+    # last iterate's exact A x, formed for the terminal row, has a margin below 0
+    A, b, x_true, reg = instance("poisson", 80, 20, 77)
+    model = so.make_objective("poisson", so.Dataset(np.asfortranarray(A), b), reg)
+    cfg = so.BaselineConfig(method="sgd", epsilon=1e-14, max_iter=25, seed=2)
+    yield "poisson77-F-sgd-terminal", so.baseline_solve, model, x_true, cfg
 
 
 def main():
     # the shifted Cholesky of the unregularized wide runs warns every iteration
     logging.getLogger("sigma_opt").setLevel(logging.ERROR)
     for name, solve, model, x0, cfg in runs():
-        print(name, digest(solve(model, x0, cfg)), flush=True)
+        try:
+            line = digest(solve(model, x0, cfg))
+        except Exception as exc:  # an escape shows as one line, not a traceback
+            line = f"raised {type(exc).__name__}"
+        print(name, line, flush=True)
 
 
 if __name__ == "__main__":
