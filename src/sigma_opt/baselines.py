@@ -5,6 +5,9 @@ Five methods: gradient descent and full Newton with backtracking, stochastic
 gradient descent with the ``t/(1 + gamma k)`` schedule, sub-sampled Newton
 (Hessian from a uniform row sample, full gradient), and NewSamp (row-sampled
 Hessian replaced by its rank-r eigen-truncation plus a spectral floor).
+Newton and sub-sampled Newton solve the full operator's Galerkin system
+(:mod:`sigma_opt.coarse`), so on wide, regularized data they factor the m x m
+capacitance matrix, not an N x N Hessian.
 
 Newton-family methods stop on the squared decrement of their direction; GD and
 SGD stop on the squared gradient norm so the tolerances are comparable.
@@ -15,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coarse import newton_direction
+from .coarse import coarse_direction, full_operator, galerkin_system, newton_direction
 from .core import sample_without_replacement, spd_solve
 from .errors import InvalidDimensions, NotPositiveDefinite
 from .objectives import ObjectiveModel, Point
@@ -111,18 +114,18 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
         return sample_without_replacement(m, size, rng) if size < m else np.arange(m, dtype=np.int64)
 
     def direction(x, point, k):
+        if cfg.method == NEWTON:
+            d, lam, dz = newton_direction(model, x, point=point)
+            return Direction(d, lam * lam, lam, None, FINE, dz=dz)
+        if cfg.method == SUBNEWTON:
+            op, rows = full_operator(N), sample(rows_size)
+            step = coarse_direction(galerkin_system(model, x, op, rows, point=point), op)
+            lam = step.lambda_hat
+            return Direction(step.d_hat, lam**2, lam, None, FINE, dz=step.dz)
         g = point.g
         g_used, rule, t0 = g, DAMPED, 1.0
-        if cfg.method == NEWTON:
-            d, lam = newton_direction(model, x, point=point)
-            dec_sq = lam * lam
-        elif cfg.method in (SUBNEWTON, NEWSAMP):
-            rows = sample(rows_size)
-            if cfg.method == SUBNEWTON:
-                h = model.reduced_hessian(x, np.arange(N, dtype=np.int64), rows, w2=point.w2)
-            else:
-                h = newsamp_hessian(model, x, rows, rank, w2=point.w2)
-            d = spd_solve(h, -g)
+        if cfg.method == NEWSAMP:
+            d = spd_solve(newsamp_hessian(model, x, sample(rows_size), rank, w2=point.w2), -g)
             dec_sq = max(-float(g @ d), 0.0)
         else:  # GD from the unit step, SGD with its scheduled step
             if cfg.method == GD:

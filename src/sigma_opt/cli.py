@@ -246,7 +246,6 @@ def solve(**p):
 @click.option("--p-list", "p_list", default=None,
               help="Comma-separated gap positions as fractions of N; runs the "
                    "multilevel solver once per value (--data synthetic only).")
-@click.option("--gnuplot", is_flag=True, default=False, help="Also emit plot.gp.")
 def bench(**p):
     """Compare solvers on one dataset; writes one trace per solver plus
     comparison.csv and summary.md. Each distinct dataset is built once."""
@@ -309,17 +308,6 @@ def bench(**p):
         )
     (out / "summary.md").write_text("\n".join(lines) + "\n")
     (out / "bench_summary.json").write_text(json.dumps(summaries, indent=2) + "\n")
-
-    if p["gnuplot"]:
-        traces = [s for s in summaries if "trace" in s]
-        plot = ["set datafile separator ','", "set logscale y",
-                "set xlabel 'seconds'", "set ylabel 'gradient norm'", "set key outside"]
-        series = ", ".join(
-            f"'{s['trace']}' using 2:4 skip 1 with linespoints title '{s['solver']}'"
-            for s in traces
-        )
-        plot.append(f"plot {series}")
-        (out / "plot.gp").write_text("\n".join(plot) + "\n")
 
     click.echo("\n".join(f"{s['solver']}: {s['status']}" for s in summaries))
     sys.exit(1 if entries and failures == len(entries) else 0)

@@ -65,6 +65,7 @@ class CoarseStep(NamedTuple):
 class NewtonStep(NamedTuple):
     d: np.ndarray
     lam: float
+    dz: np.ndarray | None = None  # A d from the scaled block, as in CoarseStep
 
 
 def build_operator(N: int, n: int, rng: RngState) -> CoarseOperator:
@@ -115,21 +116,23 @@ def galerkin_system(
     bit for bit. ``s`` is kept when ``(B d) / s`` is ``A[:, S] d`` to
     rounding: every row is kept and ``min(s) >= SCALE_FLOOR``. ``block`` is
     None when neither ``q`` nor ``s`` needs it. With the full operator the
-    gather is ``A`` itself and ``g`` equals ``point.g`` bit for bit. ``op``
-    has validated its indices, so they are not checked again.
+    gather is ``A`` itself, ``g`` is ``point.g``, formed once per point, and
+    the system is the Newton system. ``op`` has validated its indices, so
+    they are not checked again.
     """
     if point is None:
         point = model.point(x)
     S, A = op.indices, model.dataset.A
     rows = model._rows(row_sample)
-    gram, bw, (block, s) = kernels.gram_gather(A, (point.w2, point.w1), S, rows)
+    full = op.n == op.fine_dim
+    gram, bw, (block, s) = kernels.gram_gather(A, (point.w2, None if full else point.w1), S, rows)
     coeff, diag = model._row_coeff(rows.shape[0]), model.reg.hess_diag(x[S])
     if gram is None and float(diag.min()) > 0.0:
         q = (coeff, diag)
     else:
         # a short block's Gram is formed here only when D has a zero
         q = model._hessian_block(gram, block, coeff, diag)
-    g = model._row_coeff(A.shape[0]) * bw + model.reg.grad(x[S])
+    g = point.g if full else model._row_coeff(A.shape[0]) * bw + model.reg.grad(x[S])
     if rows.shape[0] < A.shape[0] or float(s.min()) < SCALE_FLOOR:
         s = None
     if s is None and not isinstance(q, tuple):
@@ -153,11 +156,10 @@ def coarse_direction(sys: GalerkinSystem, op: CoarseOperator) -> CoarseStep:
 
     ``lambda_hat = sqrt(-g^T d_coarse)``; the negative-rounding case is
     clamped to zero. With the full operator this is exactly the Newton
-    direction. The step's margins ``dz = A[:, S] d_coarse`` are
-    ``(B d_coarse) / s`` when the system has ``s``, else None. That O(m n)
-    product runs before the caller picks a direction, so it is also paid on
-    iterations that then take the fine one; forming it here lets the block
-    be freed before the fine direction allocates its N x N Hessian.
+    direction (:func:`newton_direction`). The step's margins
+    ``dz = A[:, S] d_coarse`` are ``(B d_coarse) / s`` when the system has
+    ``s``, else None: an O(m n) product from the block already in memory,
+    in place of a second pass over ``A[:, S]``.
     """
     if isinstance(sys.q, tuple):
         d_coarse = _capacitance_solve(sys.block, *sys.q, -sys.g)
@@ -190,16 +192,14 @@ def _capacitance_solve(B: np.ndarray, c: float, D: np.ndarray, rhs: np.ndarray) 
 
 
 def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None) -> NewtonStep:
-    """Full Newton direction and decrement (materializes the N x N Hessian).
-
+    """Full Newton direction, decrement and margins ``dz = A d`` (or None):
+    :func:`coarse_direction` of the full operator's :func:`galerkin_system`,
+    so a wide, regularized system is solved without an N x N matrix.
     ``point`` is ``model.point(x)`` when the caller already has it.
     """
-    if point is None:
-        point = model.point(x)
-    g = point.g
-    d = spd_solve(model.hessian(x, w2=point.w2), -g)
-    lam_sq = -float(g @ d)
-    return NewtonStep(d, float(np.sqrt(max(lam_sq, 0.0))))
+    op = full_operator(model.dataset.N)
+    step = coarse_direction(galerkin_system(model, x, op, point=point), op)
+    return NewtonStep(step.d_coarse, step.lambda_hat, step.dz)
 
 
 def nystrom_approximation(H: np.ndarray, op: CoarseOperator) -> np.ndarray:

@@ -110,8 +110,9 @@ class SigmaConfig(SolveConfig):
     * ``euclidean_proxy``: the cheap variant using gradient norms,
       coarse iff ``||g_H|| > mu ||g||`` and ``||g_H|| > nu``.
     * ``nu_only``: coarse iff ``lambda_hat > nu``.
-    * ``always_coarse`` (default): never compute the fine machinery, so large-N
-      runs never materialize an N x N Hessian.
+    * ``always_coarse`` (default): never compute the fine direction, whose
+      Newton system is N x N unless ``A`` has fewer rows than columns and a
+      regularizer is set (then it is the m x m capacitance system).
     """
 
     n: int
@@ -330,8 +331,9 @@ def drive(
     steps and its ``full_decrement`` and ``euclidean_proxy`` modes) and for
     a direction without its own ``slope``, whose step search reads it. It is
     NaN on the other coarse rows, which touch only the sampled columns of
-    ``A``. The terminal and error rows' gradient norm is exact: it is
-    recomputed from ``A x`` when the last iterate's margins were carried.
+    ``A``, unless ``n = N``: that coarse system is the Newton system, which
+    reads ``point.g``. The terminal and error rows' gradient norm is exact:
+    it is recomputed from ``A x`` when the last iterate's margins were carried.
 
     Raises :class:`OutOfDomain` if ``x0`` is infeasible.
     """
@@ -422,10 +424,8 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
         # the reduced curvature and the scaled block go before any fine step
         g_reduced = system.g
         del system
-        lam: Optional[float] = None
-        d_fine: Optional[np.ndarray] = None
-        if cfg.check_mode == FULL_DECREMENT:
-            d_fine, lam = newton_direction(model, x, point=point)
+        fine = newton_direction(model, x, point=point) if cfg.check_mode == FULL_DECREMENT else None
+        lam = None if fine is None else fine.lam
         g = point.g if cfg.check_mode == EUCLIDEAN_PROXY else None
         chosen = direction_select(step.lambda_hat, lam, g, g_reduced, cfg)
         if chosen == COARSE:
@@ -435,8 +435,8 @@ def sigma_solve(model: ObjectiveModel, x0: np.ndarray, cfg: SigmaConfig) -> Solv
             dz = step.dz if step.dz is not None else model.dataset.A[:, op.indices] @ step.d_coarse
             return Direction(step.d_hat, step.lambda_hat * step.lambda_hat, step.lambda_hat, lam,
                              COARSE, dz=dz, slope=float(g_reduced @ step.d_coarse))
-        if d_fine is None:  # the step's Ray forms A d
-            d_fine, lam = newton_direction(model, x, point=point)
-        return Direction(d_fine, lam * lam, step.lambda_hat, lam, FINE)
+        if fine is None:
+            fine = newton_direction(model, x, point=point)
+        return Direction(fine.d, fine.lam * fine.lam, step.lambda_hat, fine.lam, FINE, dz=fine.dz)
 
     return drive(model, x0, cfg, direction, error_label=COARSE)

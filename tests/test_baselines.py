@@ -5,13 +5,18 @@ from helpers import random_gaussian_model, random_logistic_model, random_poisson
 from sigma_opt import (
     BaselineConfig,
     Dataset,
+    ObjectiveModel,
     Regularization,
+    RngState,
     SigmaConfig,
     baseline_solve,
     feasible_start,
     make_objective,
     newsamp_hessian,
+    newton_direction,
+    sample_without_replacement,
     sigma_solve,
+    spd_solve,
 )
 from sigma_opt.errors import InvalidDimensions, NotPositiveDefinite
 
@@ -243,3 +248,66 @@ class TestSharedBehavior:
         r2 = baseline_solve(model, np.zeros(6), cfg)
         assert np.array_equal(r1.x_final, r2.x_final)
         assert [r.f for r in r1.trace] == [r.f for r in r2.trace]
+
+
+class TestNewtonSystemPath:
+    """Newton, sub-sampled Newton and SIGMA's fine step solve the full
+    operator's Galerkin system, as SIGMA's coarse step does."""
+
+    @pytest.mark.parametrize("make", [random_gaussian_model, random_logistic_model])
+    def test_wide_regularized_forms_no_n_by_n_matrix(self, gen, monkeypatch, make):
+        m, N, rows = 12, 40, 6
+        model = make(gen, m=m, N=N, reg=Regularization(xi2=1e-3))
+        x = 0.1 * gen.standard_normal(N)
+        g = model.gradient(x)
+        expected = np.linalg.solve(model.hessian(x), -g)
+        # the first sub-sampled Newton system, from the row sample the run draws first
+        sampled = sample_without_replacement(m, rows, RngState(3))
+        h_sub = model.reduced_hessian(x, np.arange(N, dtype=np.int64), sampled)
+        lam_sub = np.sqrt(g @ np.linalg.solve(h_sub, g))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an N x N matrix was formed")
+
+        monkeypatch.setattr(ObjectiveModel, "hessian", forbidden)
+        monkeypatch.setattr(ObjectiveModel, "reduced_hessian", forbidden)
+        nd = newton_direction(model, x)
+        np.testing.assert_allclose(nd.d, expected, rtol=1e-8)
+        assert nd.lam == pytest.approx(np.sqrt(-g @ expected), rel=1e-8)
+        newton = baseline_solve(model, x, BaselineConfig(method="newton", epsilon=1e-12, seed=3))
+        assert newton.status == "converged"
+        assert newton.trace[0].lambda_hat == pytest.approx(nd.lam, rel=1e-12)
+        cfg = BaselineConfig(method="subnewton", rows=rows, epsilon=1e-12, max_iter=5, seed=3)
+        sub = baseline_solve(model, x, cfg)
+        assert sub.status != "error" and sub.iterations == 5
+        assert sub.trace[0].lambda_hat == pytest.approx(lam_sub, rel=1e-8)
+        cfg = SigmaConfig(n=10, check_mode="full_decrement", epsilon=1e-12, max_iter=5, seed=3)
+        fine = sigma_solve(model, x, cfg)
+        assert fine.status != "error"
+        assert fine.trace[0].lam == pytest.approx(nd.lam, rel=1e-12)
+
+    def test_newton_forms_a_d_only_at_exact_margin_refreshes(self, gen, monkeypatch):
+        model = random_logistic_model(gen, m=60, N=12, reg=Regularization(xi2=1e-3))
+        x = 0.1 * gen.standard_normal(12)
+        point = model.point(x)
+        # the fold's identity: the Newton system of the full operator is the Hessian's
+        assert np.array_equal(newton_direction(model, x, point=point).d,
+                              spd_solve(model.hessian(x), -point.g))
+
+        calls = {"predict": 0, "refresh": 0}
+        orig_predict, orig_point = ObjectiveModel.predict, ObjectiveModel.point
+
+        def counted_predict(self, v):
+            calls["predict"] += 1
+            return orig_predict(self, v)
+
+        def counted_point(self, v, z=None):
+            calls["refresh"] += z is None  # margins formed afresh
+            return orig_point(self, v, z)
+
+        monkeypatch.setattr(ObjectiveModel, "predict", counted_predict)
+        monkeypatch.setattr(ObjectiveModel, "point", counted_point)
+        res = baseline_solve(model, np.zeros(12), BaselineConfig(method="newton", epsilon=1e-14))
+        assert res.status == "converged" and res.iterations >= 3
+        # A x at the start and for the terminal row; each step's A d comes with its direction
+        assert calls["predict"] == calls["refresh"] == 2

@@ -251,18 +251,6 @@ class TestBench:
         assert [(s["solver"], s["status"]) for s in summaries] == [("gd", "error"),
                                                                    ("newton", "error")]
 
-    def test_gnuplot_script(self, runner, tmp_path):
-        out = tmp_path / "plot"
-        res = runner.invoke(
-            cli,
-            ["bench", "--data", "synthetic", "--m", "30", "--N", "14", "--p", "3",
-             "--n", "7", "--seed", "1", "--solvers", "sigma,gd", "--gnuplot",
-             "--epsilon", "1e-8", "--max-iter", "50", "--out", str(out)],
-        )
-        assert res.exit_code == 0
-        script = (out / "plot.gp").read_text()
-        assert "logscale" in script and "trace_sigma.csv" in script
-
     def test_time_budget_respected(self, runner, tmp_path):
         out = tmp_path / "budget"
         res = runner.invoke(
@@ -442,12 +430,14 @@ class TestConfigValues:
         assert res.exit_code in (0, 2), res.output
         assert json.loads((out / "summary.json").read_text())["solver_config"]["n"] == 5
 
-    def test_bench_gnuplot_key(self, runner, tmp_path):
+    def test_gnuplot_key_unknown(self, runner, tmp_path):
+        # bench writes no gnuplot script; the key is rejected like any unknown one
         out = tmp_path / "o"
         cfg = self._config(tmp_path, f"solvers: sigma,gd\ngnuplot: true\nout: {out}\n")
         res = runner.invoke(cli, ["bench", "--config", str(cfg)])
-        assert res.exit_code == 0, res.output
-        assert "trace_gd.csv" in (out / "plot.gp").read_text()
+        assert res.exit_code != 0
+        assert "unknown config keys: ['gnuplot']" in res.output
+        assert not out.exists()
 
     def test_bad_choice_rejected_like_a_flag(self, runner, tmp_path):
         cfg = self._config(tmp_path, "model: poisonn\n")
@@ -472,13 +462,12 @@ class TestConfigValues:
     def test_solve_accepts_bench_keys(self, runner, tmp_path):
         # one file serves both commands; solve ignores bench's keys
         out = tmp_path / "o"
-        cfg = self._config(tmp_path, f"solvers: [sigma, gd]\np_list: 0.5\ngnuplot: true\n"
-                                     f"out: {out}\n")
+        cfg = self._config(tmp_path, f"solvers: [sigma, gd]\np_list: 0.5\nout: {out}\n")
         res = runner.invoke(cli, ["solve", "--config", str(cfg)])
         assert res.exit_code in (0, 2), res.output
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["solver"] == "sigma"
-        assert not {"solvers", "p_list", "gnuplot"} & set(summary["config"])
+        assert not {"solvers", "p_list"} & set(summary["config"])
 
 
 def test_console_script_usage_error_exits_1():

@@ -8,8 +8,9 @@ cover the three GLMs on row- and column-major ``A`` (SIGMA in each check
 mode, with ``row_sample`` and with ``freeze_operator``, and the five
 baselines), a matrix with fewer rows than the coarse dimension, with and
 without a regularizer (the capacitance solve and the shifted n x n
-Cholesky), and an SGD run whose last iterate's exact Poisson margins leave
-the domain.
+Cholesky; SIGMA in its default and ``full_decrement`` modes, Newton and
+sub-sampled Newton, whose full-operator systems take the same two routes),
+and an SGD run whose last iterate's exact Poisson margins leave the domain.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -84,8 +85,13 @@ def runs():
         for xi2 in (1e-4, 0.0):
             A, b, _, reg = instance(kind, 20, 120, seed, xi2=xi2)
             model = so.make_objective(kind, so.Dataset(A, b), reg)
-            cfg = so.SigmaConfig(n=60, seed=5, **common)
-            yield f"{kind}-wide-xi2={xi2:g}", so.sigma_solve, model, so.feasible_start(model), cfg
+            x0, tag = so.feasible_start(model), f"{kind}-wide-xi2={xi2:g}"
+            yield tag, so.sigma_solve, model, x0, so.SigmaConfig(n=60, seed=5, **common)
+            cfg = so.SigmaConfig(n=60, seed=5, check_mode="full_decrement", **common)
+            yield f"{tag}-sigma-full_decrement", so.sigma_solve, model, x0, cfg
+            for method in ("newton", "subnewton"):
+                cfg = so.BaselineConfig(method=method, seed=4, **common)
+                yield f"{tag}-{method}", so.baseline_solve, model, x0, cfg
     # SGD from the ground truth: the carried margins stay positive, but the
     # last iterate's exact A x, formed for the terminal row, has a margin below 0
     A, b, x_true, reg = instance("poisson", 80, 20, 77)
