@@ -8,6 +8,7 @@ reduced systems are cheap.
 import logging
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf as _geqrf, dgeqrf_lwork as _geqrf_lwork, dorgqr as _orgqr
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import DomainError, InvalidDimensions, NotPositiveDefinite
@@ -19,6 +20,12 @@ DECREMENT_LIMIT = 0.68
 DECREMENT_SQ_LIMIT = DECREMENT_LIMIT**2
 
 logger = logging.getLogger(__name__)
+_DRAW_BLOCK_BYTES = 1 << 20  # haar_frame draws its normals in row blocks of about this size
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def spd_factor(A: np.ndarray, overwrite_a: bool = False):
@@ -68,13 +75,11 @@ def spd_factor(A: np.ndarray, overwrite_a: bool = False):
         c, info = _potrf(A + shift * np.eye(A.shape[0]), lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"Cholesky failed even after diagonal shift {shift:.3e}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    _check_info(info, "dpotrf")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x, info = _potrs(c, rhs, lower=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        _check_info(info, "dpotrs")
         return x
 
     return solve
@@ -128,11 +133,33 @@ def sample_without_replacement(N: int, n: int, rng: RngState) -> np.ndarray:
 
 
 def haar_frame(nrows: int, ncols: int, gen: np.random.Generator) -> np.ndarray:
-    """First ``ncols`` columns of a Haar-orthogonal ``nrows x nrows`` matrix."""
+    """First ``ncols`` columns of a Haar-orthogonal ``nrows x nrows`` matrix,
+    column-major: ``Q diag(sign(diag R))`` for the thin QR of a standard
+    normal ``nrows x ncols`` matrix drawn row by row from ``gen``.
+
+    The normals fill one column-major buffer in row blocks of about 1 MiB,
+    which LAPACK factors (``dgeqrf``) and turns into ``Q`` (``dorgqr``) in
+    place: here the same bits as ``np.linalg.qr(g, mode="reduced")``, with a
+    peak of the frame plus one block and the workspace.
+    """
     if not 1 <= ncols <= nrows:
         raise InvalidDimensions(f"need 1 <= ncols <= nrows, got {ncols}, {nrows}")
-    g = gen.standard_normal((nrows, ncols))
-    q, r = np.linalg.qr(g, mode="reduced")
-    signs = np.sign(np.diagonal(r))
+    g = np.empty((nrows, ncols), order="F")
+    step = max(1, _DRAW_BLOCK_BYTES // (8 * ncols))
+    for r in range(0, nrows, step):
+        g[r:r + step] = gen.standard_normal((min(step, nrows - r), ncols))
+    # The optimal lwork selects LAPACK's blocked path, as numpy's QR does; the
+    # default lwork runs the unblocked one, about 4x slower and with other
+    # bits. With overwrite_a the workspace query does not copy g.
+    lwork, info = _geqrf_lwork(nrows, ncols)
+    _check_info(info, "dgeqrf")
+    g, tau, _, info = _geqrf(g, lwork=int(lwork), overwrite_a=1)
+    _check_info(info, "dgeqrf")
+    signs = np.sign(np.diagonal(g))
     signs[signs == 0] = 1.0
-    return q * signs
+    _, work, info = _orgqr(g, tau, lwork=-1, overwrite_a=1)
+    _check_info(info, "dorgqr")
+    g, _, info = _orgqr(g, tau, lwork=int(work[0]), overwrite_a=1)
+    _check_info(info, "dorgqr")
+    g *= signs
+    return g

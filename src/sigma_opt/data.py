@@ -85,16 +85,20 @@ def singular_value_bands(spec: SvdGapSpec) -> np.ndarray:
 def svd_gap_matrix(spec: SvdGapSpec, rng: RngState) -> np.ndarray:
     """Draw ``A = U S V^T`` with Haar-orthogonal thin frames ``U`` and ``V``.
 
-    Only the first ``min(m, N)`` columns of the orthogonal factors are
+    Only the first ``k = min(m, N)`` columns of the orthogonal factors are
     generated; the distribution of ``A`` is unchanged and the cost drops from
-    O(m^3) to O(m k^2). ``A`` is returned column-major (Fortran order), the
-    transpose of the row-major product ``V (U S)^T``, so no copy is made.
+    O(m^3) to O(m k^2). The frames are built in place (:func:`haar_frame`),
+    ``U`` is scaled by ``S`` in place, and ``A`` is returned column-major
+    (Fortran order), the transpose of the row-major product ``V (U S)^T``, so
+    no full-size temporary is made: the peak is about ``U + V + A``, i.e.
+    ``8 (m k + N k + m N)`` bytes.
     """
     sv = singular_value_bands(spec)
     k = sv.shape[0]
     U = haar_frame(spec.m, k, rng.child())
     V = haar_frame(spec.N, k, rng.child())
-    return (V @ (U * sv).T).T
+    U *= sv
+    return (V @ U.T).T
 
 
 def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndarray, np.ndarray]:

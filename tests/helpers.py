@@ -28,6 +28,15 @@ def fd_hessian(grad, x, h=1e-5):
     return 0.5 * (H + H.T)
 
 
+def reference_haar_frame(nrows, ncols, gen):
+    """The Haar frame by numpy's QR of one row-major normal draw, with the
+    columns' signs fixed by R's diagonal (zero counts as +1)."""
+    q, r = np.linalg.qr(gen.standard_normal((nrows, ncols)), mode="reduced")
+    signs = np.sign(np.diagonal(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
 def random_gaussian_model(gen, m=24, N=16, reg=None):
     A = gen.standard_normal((m, N))
     b = gen.standard_normal(m)

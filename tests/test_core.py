@@ -6,6 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_haar_frame
+
 from sigma_opt import (
     RngState,
     omega,
@@ -261,6 +263,14 @@ class TestHaar:
     def test_invalid_dim(self):
         with pytest.raises(InvalidDimensions):
             haar_frame(0, 0, RngState(0).child())
+
+    # (1200, 150) is drawn in two row blocks
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (60, 60), (300, 120), (1200, 150)])
+    def test_bits_match_numpy_qr(self, shape):
+        q = haar_frame(*shape, RngState(13).child())
+        assert q.shape == shape
+        assert q.flags.f_contiguous
+        assert np.array_equal(q, reference_haar_frame(*shape, RngState(13).child()))
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import positive_poisson_instance
+from helpers import positive_poisson_instance, reference_haar_frame
 
 from sigma_opt import (
     Dataset,
@@ -219,14 +220,37 @@ class TestSvdGap:
         A = svd_gap_matrix(SvdGapSpec(m=m, N=N, p=3, gap=10.0, seed=6), RngState(6))
         assert A.flags.f_contiguous
 
+    @pytest.mark.parametrize(("m", "N"), [(120, 40), (60, 60), (20, 300)])
+    def test_bits_match_reference_product(self, m, N):
+        spec = SvdGapSpec(m=m, N=N, p=5, gap=30.0, seed=8)
+        rng = RngState(8)
+        sv = singular_value_bands(spec)
+        U = reference_haar_frame(m, sv.shape[0], rng.child())
+        V = reference_haar_frame(N, sv.shape[0], rng.child())
+        assert np.array_equal(svd_gap_matrix(spec, RngState(8)), (V @ (U * sv).T).T)
+
+    def test_peak_memory_is_frames_plus_matrix(self):
+        # no full-size temporary: the frames U (m x k) and V (N x k) and A
+        # itself, plus 1 MiB for the draw block and the LAPACK workspace
+        m, N = 2000, 1000
+        k = min(m, N)
+        tracemalloc.start()
+        try:
+            svd_gap_matrix(SvdGapSpec(m=m, N=N, p=100), RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (m * k + N * k + m * N) + (1 << 20)
+
     def test_determinism(self):
         spec = SvdGapSpec(m=10, N=5, p=2, gap=10.0, seed=5)
         assert np.array_equal(svd_gap_matrix(spec, RngState(5)), svd_gap_matrix(spec, RngState(5)))
 
     def test_acceptance_instance_bits(self):
         # the c09 Poisson instance and every benchmark instance are drawn
-        # through RngState.child(); this digest (numpy 2.4 with its bundled
-        # OpenBLAS) pins their bits
+        # through RngState.child(); this digest pins their bits, with the
+        # frames' QR in scipy 1.17's bundled OpenBLAS (0.3.30) and the
+        # product in numpy 2.4's (0.3.31)
         A = svd_gap_matrix(SvdGapSpec(m=400, N=200, p=40, gap=100.0, seed=2), RngState(2))
         b, x_true = synth_labels(A, LabelSpec("poisson", seed=3), RngState(3))
         digest = hashlib.sha256()

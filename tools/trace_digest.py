@@ -11,6 +11,9 @@ without a regularizer (the capacitance solve and the shifted n x n
 Cholesky; SIGMA in its default and ``full_decrement`` modes, Newton and
 sub-sampled Newton, whose full-operator systems take the same two routes),
 and an SGD run whose last iterate's exact Poisson margins leave the domain.
+Before the runs come the generator lines: the sha256 of one ``haar_frame``
+and of ``svd_gap_matrix`` for a tall, a square and a wide spec, each hashed
+in row-major order whatever its layout.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -35,6 +38,7 @@ import logging  # noqa: E402
 import numpy as np  # noqa: E402
 
 import sigma_opt as so  # noqa: E402
+from sigma_opt.core import haar_frame  # noqa: E402
 
 CHECK_MODES = ("always_coarse", "full_decrement", "euclidean_proxy", "nu_only")
 BASELINES = ("gd", "sgd", "newton", "subnewton", "newsamp")
@@ -48,6 +52,14 @@ def digest(result) -> str:
         h.update(("\n" + ",".join(v.hex() if isinstance(v, float) else repr(v)
                                   for v in row)).encode())
     return h.hexdigest()
+
+
+def generated():
+    """``(name, array)`` for each generator line."""
+    yield "haar_frame-500x200", haar_frame(500, 200, so.RngState(31).child())
+    for m, N in ((600, 300), (300, 300), (50, 2000)):
+        spec = so.SvdGapSpec(m=m, N=N, p=max(1, min(m, N) // 5), gap=30.0, seed=m + N)
+        yield f"svd_gap_matrix-{m}x{N}", so.svd_gap_matrix(spec, so.RngState(m + N))
 
 
 def instance(kind, m, N, seed, xi2=1e-6):
@@ -103,6 +115,10 @@ def runs():
 def main():
     # the shifted Cholesky of the unregularized wide runs warns every iteration
     logging.getLogger("sigma_opt").setLevel(logging.ERROR)
+    for name, arr in generated():
+        h = hashlib.sha256(repr(arr.shape).encode())
+        h.update(arr.tobytes(order="C"))
+        print(name, h.hexdigest(), flush=True)
     for name, solve, model, x0, cfg in runs():
         try:
             line = digest(solve(model, x0, cfg))
