@@ -5,9 +5,9 @@ Five methods: gradient descent and full Newton with backtracking, stochastic
 gradient descent with the ``t/(1 + gamma k)`` schedule, sub-sampled Newton
 (Hessian from a uniform row sample, full gradient), and NewSamp (row-sampled
 Hessian replaced by its rank-r eigen-truncation plus a spectral floor).
-Newton and sub-sampled Newton solve the full operator's Galerkin system
-(:mod:`sigma_opt.coarse`), so on wide, regularized data they factor the m x m
-capacitance matrix, not an N x N Hessian.
+Newton and sub-sampled Newton are one :func:`sigma_opt.coarse.newton_direction`
+call (sub-sampled Newton passes its row sample), so on wide, regularized data
+they factor the m x m capacitance matrix, not an N x N Hessian.
 
 Newton-family methods stop on the squared decrement of their direction; GD and
 SGD stop on the squared gradient norm so the tolerances are comparable.
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coarse import coarse_direction, full_operator, galerkin_system, newton_direction
+from .coarse import newton_direction
 from .core import sample_without_replacement, spd_solve
 from .errors import InvalidDimensions, NotPositiveDefinite
 from .objectives import ObjectiveModel, Point
@@ -114,14 +114,10 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
         return sample_without_replacement(m, size, rng) if size < m else np.arange(m, dtype=np.int64)
 
     def direction(x, point, k):
-        if cfg.method == NEWTON:
-            d, lam, dz = newton_direction(model, x, point=point)
+        if cfg.method in (NEWTON, SUBNEWTON):
+            rows = sample(rows_size) if cfg.method == SUBNEWTON else None
+            d, lam, dz = newton_direction(model, x, point, rows)
             return Direction(d, lam * lam, lam, None, FINE, dz=dz)
-        if cfg.method == SUBNEWTON:
-            op, rows = full_operator(N), sample(rows_size)
-            step = coarse_direction(galerkin_system(model, x, op, rows, point=point), op)
-            lam = step.lambda_hat
-            return Direction(step.d_hat, lam**2, lam, None, FINE, dz=step.dz)
         g = point.g
         g_used, rule, t0 = g, DAMPED, 1.0
         if cfg.method == NEWSAMP:

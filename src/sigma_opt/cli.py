@@ -4,7 +4,8 @@ Subcommands
 -----------
 solve    one solver on one dataset -> trace.csv + summary.json
 bench    several solvers (or a p-sweep) on one dataset -> per-solver traces,
-         comparison.csv (the trace rows with a gradient norm), summary.md
+         comparison.csv (the trace rows with a gradient norm), summary.md,
+         bench_summary.json (summary.json's fields per solver)
 datagen  synthetic dataset -> libsvm file + meta.json
 
 Configuration comes from an optional YAML file (``--config``), checked like
@@ -40,6 +41,8 @@ from .rng import RngState
 from .solver import CHECK_MODES, SigmaConfig, SolveConfig
 
 TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,backtracks"
+# a bench entry's name in its trace file name: "/" and "[" become "_", "]" and "=" go
+_SAFE_NAME = str.maketrans({"/": "_", "[": "_", "]": None, "=": None})
 
 SOLVERS = ("sigma",) + METHODS
 
@@ -139,6 +142,7 @@ def _config(cls, p: dict, **fixed):
 
 
 def _summary_dict(result, model, effective: dict, cfg) -> dict:
+    """A finished run's summary.json, also the body of its bench_summary.json entry."""
     last = result.trace[-1] if result.trace else None
     out = {
         "status": result.status,
@@ -248,12 +252,11 @@ def solve(**p):
                    "multilevel solver once per value (--data synthetic only).")
 def bench(**p):
     """Compare solvers on one dataset; writes one trace per solver plus
-    comparison.csv and summary.md. Each distinct dataset is built once."""
+    comparison.csv, summary.md and bench_summary.json. Each distinct dataset
+    is built once; two entries that would share a trace file are rejected."""
     if p["p_list"] and p["data"] != "synthetic":
         raise click.ClickException("--p-list needs --data synthetic: p sets the synthetic "
                                    "matrix's gap position and does nothing to file data")
-    out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     def _as_list(value, cast):
         return [cast(tok.strip()) for tok in value.split(",") if tok.strip()]
@@ -266,30 +269,33 @@ def bench(**p):
     else:
         for name in _as_list(p["solvers"], str):
             entries.append((name, {**p, "solver": name}))
+    traces = [f"trace_{name.translate(_SAFE_NAME)}.csv" for name, _ in entries]
+    shared = [t for i, t in enumerate(traces) if t in traces[:i]]
+    if shared:
+        raise click.ClickException(f"two bench entries would write the same trace file "
+                                   f"{shared[0]}; list each solver or --p-list value once")
+    out = Path(p["out"])
+    out.mkdir(parents=True, exist_ok=True)
 
     # the entries differ only in p and the solver: a dataset is built (its
     # file parsed) once per p
     datasets = {}
     rows, summaries, failures = [], [], 0
-    for idx, (name, ep) in enumerate(entries):
+    for idx, ((name, ep), trace) in enumerate(zip(entries, traces)):
         try:
             if ep["p"] not in datasets:
                 datasets[ep["p"]] = _build_dataset(ep)
-            ds, x_true, _ = datasets[ep["p"]]
-            _, result, _ = _run(ep, ds, x_true, ep["seed"] + idx)
+            ds, x_true, data_meta = datasets[ep["p"]]
+            model, result, cfg = _run(ep, ds, x_true, ep["seed"] + idx)
         except Exception as exc:
             failures += 1
             summaries.append({"solver": name, "status": "error", "iterations": 0,
                               "final_f": "", "final_grad_norm": "", "elapsed_s": "",
                               "message": str(exc)})
             continue
-        safe = name.replace("/", "_").replace("[", "_").replace("]", "").replace("=", "")
-        write_trace(out / f"trace_{safe}.csv", result.trace)
-        last = result.trace[-1]
-        summaries.append({"solver": name, "status": result.status,
-                          "iterations": result.iterations, "final_f": last.f,
-                          "final_grad_norm": last.grad_norm, "elapsed_s": last.elapsed_s,
-                          "message": result.message, "trace": f"trace_{safe}.csv"})
+        write_trace(out / trace, result.trace)
+        summaries.append({"solver": name, "trace": trace,
+                          **_summary_dict(result, model, {**ep, "data_meta": data_meta}, cfg)})
         # the rows whose gradient norm was formed
         rows += [(name, r.iter, r.elapsed_s, r.grad_norm, r.f) for r in result.trace
                  if np.isfinite(r.grad_norm)]

@@ -191,14 +191,16 @@ def _capacitance_solve(B: np.ndarray, c: float, D: np.ndarray, rhs: np.ndarray) 
     return d
 
 
-def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None) -> NewtonStep:
-    """Full Newton direction, decrement and margins ``dz = A d`` (or None):
+def newton_direction(model: ObjectiveModel, x: np.ndarray, point: Point | None = None,
+                     row_sample: np.ndarray | None = None) -> NewtonStep:
+    """Newton direction, decrement and margins ``dz = A d`` (or None):
     :func:`coarse_direction` of the full operator's :func:`galerkin_system`,
-    so a wide, regularized system is solved without an N x N matrix.
+    so a wide, regularized system is solved without an N x N matrix. The
+    curvature sums over ``row_sample`` (sub-sampled Newton) or every row.
     ``point`` is ``model.point(x)`` when the caller already has it.
     """
     op = full_operator(model.dataset.N)
-    step = coarse_direction(galerkin_system(model, x, op, point=point), op)
+    step = coarse_direction(galerkin_system(model, x, op, row_sample, point=point), op)
     return NewtonStep(step.d_coarse, step.lambda_hat, step.dz)
 
 

@@ -239,6 +239,40 @@ class TestBench:
         assert "--p-list needs --data synthetic" in res.output
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize(("args", "trace"), [
+        (["--solvers", "sigma,sigma"], "trace_sigma.csv"),
+        (["--p-list", "0.2,0.20"], "trace_sigma_p0.2N.csv"),
+    ])
+    def test_shared_trace_file_rejected(self, runner, tmp_path, args, trace):
+        # two entries that write one trace file would leave one trace for two
+        # summaries; the bench stops before it creates --out or runs anything
+        out = tmp_path / "b"
+        res = runner.invoke(cli, ["bench", "--data", "synthetic", "--m", "30", "--N", "10",
+                                  "--n", "5", "--seed", "1", *args, "--max-iter", "20",
+                                  "--out", str(out)])
+        assert res.exit_code == 1
+        assert trace in res.output
+        assert not out.exists()
+
+    def test_entry_summarizes_like_solve(self, runner, tmp_path):
+        data = ["--model", "poisson", "--data", "synthetic", "--m", "45", "--N", "30",
+                "--p", "6", "--n", "15", "--seed", "2", "--xi2", "1e-6", "--epsilon", "1e-8",
+                "--max-iter", "60"]
+        res = runner.invoke(cli, ["solve", *data, "--solver", "sigma",
+                                  "--out", str(tmp_path / "s")])
+        assert res.exit_code in (0, 2), res.output
+        res = runner.invoke(cli, ["bench", *data, "--solvers", "sigma",
+                                  "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+        solo = json.loads((tmp_path / "s" / "summary.json").read_text())
+        (entry,) = json.loads((tmp_path / "b" / "bench_summary.json").read_text())
+        assert set(solo) <= set(entry)
+        assert entry["solver"] == "sigma" and entry["trace"] == "trace_sigma.csv"
+        for key in ("status", "iterations", "final_f", "final_grad_norm", "final_decrement_sq",
+                    "final_grad_norm_unscaled", "poisson_scale", "solver_config"):
+            assert entry[key] == solo[key], key
+        assert entry["config"]["data_meta"] == solo["config"]["data_meta"]
+
     def test_all_fail_exit_1(self, runner, tmp_path):
         res = runner.invoke(
             cli,

@@ -60,3 +60,20 @@ def test_sigma_gram_is_traced_under_the_galerkin_system(tracing):
     parents = {spans[parent][0] for name, _, _, parent, _ in spans
                if name == "kernels.gram_gather" and parent >= 0}
     assert "coarse.galerkin_system" in parents
+
+
+def test_subnewton_is_traced_as_a_newton_direction(tracing):
+    # sub-sampled Newton solves its system through coarse.newton_direction,
+    # so its Gram is charged to that span, not to baseline_solve's self time
+    model, _ = positive_poisson_instance(m=40, N=10)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = baseline_solve(model, feasible_start(model),
+                                BaselineConfig(method="subnewton", rows=20, epsilon=1e-12,
+                                               max_iter=5, seed=1))
+    assert result.iterations >= 1
+    spans = tracer.spans
+    newton = {i for i, span in enumerate(spans) if span[0] == "coarse.newton_direction"}
+    assert newton
+    gram_parents = {parent for name, _, _, parent, _ in spans if name == "kernels.gram_gather"}
+    assert newton <= gram_parents
