@@ -9,8 +9,9 @@ Newton and sub-sampled Newton are one :func:`sigma_opt.coarse.newton_direction`
 call (sub-sampled Newton passes its row sample), so on wide, regularized data
 they factor the m x m capacitance matrix, not an N x N Hessian.
 
-Newton-family methods stop on the squared decrement of their direction; GD and
-SGD stop on the squared gradient norm so the tolerances are comparable.
+Newton-family methods stop on the squared decrement of their direction (for
+sub-sampled Newton and NewSamp a sampled one, which certifies no gap); GD and
+SGD stop on a gradient test, the squared gradient norm against ``epsilon``.
 """
 
 from dataclasses import dataclass

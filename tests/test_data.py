@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from sigma_opt import (
     write_libsvm,
 )
 from sigma_opt import data
+from sigma_opt.core import haar_frame
 from sigma_opt.data import singular_value_bands
 from sigma_opt.errors import (
     DomainError,
@@ -258,6 +260,54 @@ class TestSvdGap:
             digest.update(np.ascontiguousarray(arr).tobytes())
         assert digest.hexdigest() == (
             "1ffc77577e9f0166e254639cad7d0e5025f822de606dbc0c5a66109fb33d86bc")
+
+    @pytest.mark.parametrize(("m", "N"), [(1200, 300), (250, 600), (50, 400)])
+    def test_overlapped_frames_keep_bits(self, m, N, monkeypatch):
+        # at one BLAS thread and k >= 200, U is factored on a helper thread
+        # while V is factored here; U of the tall spec spans three 1 MiB draw
+        # blocks; k = 50 stays serial
+        spec = SvdGapSpec(m=m, N=N, p=5, gap=30.0, seed=9)
+        arrays = []
+        for pinned in (True, False):
+            if pinned:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            else:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            rng, threads = RngState(9), threading.active_count()
+            arrays.append(svd_gap_matrix(spec, rng))
+            assert rng.stream == 2
+            assert threading.active_count() == threads
+        assert np.array_equal(arrays[0], arrays[1])
+
+    def test_pinned_blas_overlaps_the_frames(self, monkeypatch):
+        # U's factorization is still running when V's starts
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        v_started, u_saw_v = threading.Event(), []
+
+        def frame(nrows, ncols, gen):
+            if nrows == 300:  # U
+                u_saw_v.append(v_started.wait(timeout=30))
+            else:
+                v_started.set()
+            return haar_frame(nrows, ncols, gen)
+
+        monkeypatch.setattr(data, "haar_frame", frame)
+        svd_gap_matrix(SvdGapSpec(m=300, N=200, p=5), RngState(0))
+        assert u_saw_v == [True]
+
+    def test_overlapped_peak_memory_is_frames_plus_matrix(self, monkeypatch):
+        # the bound of test_peak_memory_is_frames_plus_matrix holds with both
+        # frames' draw blocks and workspaces live at once
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        m, N = 2000, 1000
+        k = min(m, N)
+        tracemalloc.start()
+        try:
+            svd_gap_matrix(SvdGapSpec(m=m, N=N, p=100), RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (m * k + N * k + m * N) + (1 << 20)
 
     def test_validation(self):
         with pytest.raises(InvalidDimensions):

@@ -12,8 +12,9 @@ Cholesky; SIGMA in its default and ``full_decrement`` modes, Newton and
 sub-sampled Newton, whose full-operator systems take the same two routes),
 and an SGD run whose last iterate's exact Poisson margins leave the domain.
 Before the runs come the generator lines: the sha256 of one ``haar_frame``
-and of ``svd_gap_matrix`` for a tall, a square and a wide spec, each hashed
-in row-major order whatever its layout.
+and of ``svd_gap_matrix`` for a tall, a square and a wide spec and at the
+logistic-tall benchmark's 4000 x 2000, each hashed in row-major order
+whatever its layout.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -60,6 +61,9 @@ def generated():
     for m, N in ((600, 300), (300, 300), (50, 2000)):
         spec = so.SvdGapSpec(m=m, N=N, p=max(1, min(m, N) // 5), gap=30.0, seed=m + N)
         yield f"svd_gap_matrix-{m}x{N}", so.svd_gap_matrix(spec, so.RngState(m + N))
+    # the logistic-tall benchmark's matrix
+    spec = so.SvdGapSpec(m=4000, N=2000, p=200, gap=100.0, seed=1)
+    yield "svd_gap_matrix-4000x2000", so.svd_gap_matrix(spec, so.RngState(1))
 
 
 def instance(kind, m, N, seed, xi2=1e-6):
