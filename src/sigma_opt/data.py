@@ -11,9 +11,11 @@ synthesized per model family from a hidden ground-truth weight vector.
 """
 
 import csv as _csv
+import itertools
 import logging
 import os
 import warnings
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ from .rng import RngState
 logger = logging.getLogger(__name__)
 _MEAN_MARGIN = 5.0  # positive-margin points are rescaled to this mean margin
 _OVERLAP_MIN_K = 200  # svd_gap_matrix factors its frames concurrently from this k on
+_PARSE_CHUNK_BYTES = 1 << 20  # load_libsvm reads canonical lines in chunks of about this much text
 
 
 @dataclass(frozen=True)
@@ -260,50 +263,106 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     it must be positive. Labels are kept as written: only
     :func:`~sigma_opt.objectives.make_objective` interprets them.
     """
-    parsed = _libsvm_fast(path)
-    if isinstance(parsed, int):
-        logger.debug("%s: line %d is not canonical; parsing token by token", path, parsed)
-    labels, rows, idx, vals = _libsvm_tokens(path) if isinstance(parsed, int) else parsed
-    if not labels.size:
+    chunks = _libsvm_fast(path)
+    if isinstance(chunks, int):
+        logger.debug("%s: line %d is not canonical; parsing token by token", path, chunks)
+        labels, rows, idx, vals = _libsvm_tokens(path)
+        chunks = [(labels, np.bincount(rows, minlength=labels.size), idx - 1, vals)]
+    m = sum(chunk[0].size for chunk in chunks)
+    if not m:
         raise ParseError(f"{path}: no data lines")
-    max_idx = int(idx.max(initial=0))
+    max_idx = max(int(cols.max(initial=-1)) + 1 for _, _, cols, _ in chunks)
     N = n_features if n_features is not None else max_idx
     if N < 1:
         raise InvalidDimensions(f"{path}: no features (N = {N})")
     if max_idx > N:
         raise InvalidDimensions(f"file has index {max_idx} but n_features={N}")
-    A = np.zeros((labels.size, N), order="F")
-    A[rows, idx - 1] = vals
-    return Dataset(A, labels)
+    A, b, top = np.zeros((m, N), order="F"), np.empty(m), 0
+    while chunks:  # each chunk is freed once it is scattered
+        labels, counts, cols, vals = chunks.pop(0)
+        A[np.repeat(np.arange(top, top + labels.size), counts), cols] = vals
+        b[top:top + labels.size] = labels
+        top += labels.size
+    return Dataset(A, b)
 
 
 def _libsvm_fast(path):
-    """``(labels, rows, idx, vals)`` by one ``np.fromstring`` per canonical line
-    (README, "libsvm input"), or the number of the first line that is not."""
-    entries = {}  # line number -> its numbers
-    to_nul = bytes.maketrans(bytes(range(32)) + b"\x7f(", bytes(34))  # controls, "(" of nan(...)
+    """The file's numbers as a list of ``(labels, counts, cols, vals)`` chunks,
+    or the number of its first line that is not canonical (README, "libsvm
+    input").
+
+    A chunk holds about ``_PARSE_CHUNK_BYTES`` of canonical lines, read with one
+    ``np.fromstring``: their labels, each line's entry count, and each entry's
+    0-based column (int32) and value.
+    """
+    chunks = []
     with open(path, "rb") as fh, warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy < 2.3: else a short array
-        for lineno, line in enumerate(map(bytes.strip, fh), start=1):
-            if line[:1] in (b"", b"#") and line.isascii() and b"\r" not in line:
-                continue
-            rest, nnz = line.translate(to_nul, b"0123456789"), line.count(b":")
-            try:
-                nums = np.fromstring(line.replace(b":", b" "), sep=" ")
-            except (ValueError, DeprecationWarning):
-                return lineno
-            if (not line.isascii() or b"\0" in rest or rest.count(b" ") != nnz
-                    or rest.count(b" :") != nnz or nums.size != 1 + 2 * nnz):
-                return lineno
-            entries[lineno] = nums
-    labels = np.array([e[0] for e in entries.values()], dtype=np.float64)
-    rows = np.repeat(np.arange(labels.size), [e.size // 2 for e in entries.values()])
-    idx, vals = np.concatenate([np.empty(0), *(e[1:] for e in entries.values())]).reshape(-1, 2).T
-    bad = (idx < 1) | (idx >= 2**31)  # in range, so exact, and rising within each row
+        for pending in _canonical_lines(fh):
+            chunk = pending if isinstance(pending, int) else _parse_chunk(*pending)
+            if isinstance(chunk, int):
+                return chunk
+            chunks.append(chunk)
+    return chunks
+
+
+def _canonical_lines(fh):
+    """Yield ``(text, linenos, counts)`` for each run of about
+    ``_PARSE_CHUNK_BYTES`` of lines that pass the byte checks, one line of
+    ``text`` each, then the number of the first line that fails them, if any."""
+    to_nul = bytes.maketrans(bytes(range(32)) + b"\x7f(", bytes(34))  # controls, "(" of nan(...)
+    text, linenos, counts, bad = bytearray(), array("q"), array("q"), None
+    for lineno, line in enumerate(map(bytes.strip, fh), start=1):
+        if line[:1] in (b"", b"#") and line.isascii() and b"\r" not in line:
+            continue
+        rest, nnz = line.translate(to_nul, b"0123456789"), line.count(b":")
+        if (not line.isascii() or b"\0" in rest or rest.count(b" ") != nnz
+                or rest.count(b" :") != nnz):
+            bad = lineno
+            break
+        text += line
+        text += b"\n"
+        linenos.append(lineno)
+        counts.append(nnz)
+        if len(text) >= _PARSE_CHUNK_BYTES:
+            yield bytes(text), linenos, counts
+            text, linenos, counts = bytearray(), array("q"), array("q")
+    if linenos:
+        yield bytes(text), linenos, counts
+    if bad is not None:
+        yield bad
+
+
+def _parse_chunk(text, linenos, counts):
+    """``(labels, counts, cols, vals)`` of newline-separated lines by one
+    ``np.fromstring``, or the number of the first line that is not canonical."""
+    counts = np.array(counts, dtype=np.int64)
+    try:
+        nums = np.fromstring(text.replace(b":", b" "), sep=" ")
+    except (ValueError, DeprecationWarning):
+        nums = None
+    # a field reads one number, none when it is empty, or fails: a chunk that
+    # reads as many numbers as it has fields reads one from each of them
+    if nums is None or nums.size != counts.size + 2 * counts.sum():
+        if len(linenos) == 1:
+            return linenos[0]
+        # bisect: the first failing line is in the first half if that fails
+        half = len(linenos) // 2
+        cut = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))[half - 1] + 1
+        first = _parse_chunk(text[:cut], linenos[:half], counts[:half])
+        if not isinstance(first, int):
+            first = _parse_chunk(text[cut:], linenos[half:], counts[half:])
+        return first if isinstance(first, int) else linenos[0]
+    heads = np.cumsum(1 + 2 * counts) - (1 + 2 * counts)  # each line's label
+    is_label = np.zeros(nums.size, dtype=bool)
+    is_label[heads] = True
+    idx, vals = nums[~is_label].reshape(-1, 2).T
+    rows = np.repeat(np.arange(counts.size), counts)
+    bad = (idx < 1) | (idx >= 2**31)  # in range, so exact, and rising within each line
     bad[1:] |= (idx[1:] <= idx[:-1]) & (rows[1:] == rows[:-1])
     if bad.any():
-        return list(entries)[rows[bad.argmax()]]
-    return labels, rows, idx.astype(np.int64), vals
+        return linenos[rows[bad.argmax()]]
+    return nums[heads], counts, (idx - 1).astype(np.int32), vals.copy()
 
 
 def _libsvm_tokens(path):
@@ -360,35 +419,36 @@ def load_csv(path, label_column="last") -> Dataset:
 
     ``label_column`` is a 0-based column index or ``"last"``. The header is
     auto-detected: a first row with any non-numeric cell is skipped. ``A`` is
-    column-major.
+    column-major. A first pass counts the rows; the second converts each row
+    as it reads it, straight into ``A`` and ``b``.
     """
-    raw: list[list[str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in _csv.reader(fh):
-            if rec:
-                raw.append(rec)
-    if not raw:
+        records = filter(None, _csv.reader(fh))
+        head = list(itertools.islice(records, 2))
+        m = len(head) + sum(1 for _ in records)
+    if not head:
         raise ParseError(f"{path}: empty file")
-    start = 0
-    if any(not _is_number(tok) for tok in raw[0]):
-        start = 1
-        if len(raw) == 1:
-            raise ParseError(f"{path}: header only, no data rows")
-    width = len(raw[start])
-    data = np.empty((len(raw) - start, width), order="F")
-    for i, rec in enumerate(raw[start:], start=start):
-        if len(rec) != width:
-            raise RaggedRows(f"expected {width} fields, got {len(rec)}", line=i + 1)
-        try:
-            data[i - start] = [float(tok) for tok in rec]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value in {rec}", line=i + 1) from exc
+    start = 0 if all(_is_number(tok) for tok in head[0]) else 1
+    if start == m:
+        raise ParseError(f"{path}: header only, no data rows")
+    width = len(head[start])
     col = width - 1 if label_column == "last" else int(label_column)
+    A, b = np.empty((m - start, width - 1), order="F"), np.empty(m - start)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line, rec in enumerate(filter(None, _csv.reader(fh)), start=1):
+            if line <= start:
+                continue
+            if len(rec) != width:
+                raise RaggedRows(f"expected {width} fields, got {len(rec)}", line=line)
+            try:
+                row = [float(tok) for tok in rec]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric value in {rec}", line=line) from exc
+            if 0 <= col < width:
+                b[line - start - 1] = row.pop(col)
+                A[line - start - 1] = row
     if not 0 <= col < width:
         raise InvalidDimensions(f"label column {col} out of range for width {width}")
-    # a copy, so the dataset does not keep all of ``data`` alive through b
-    b = data[:, col].copy()
-    A = np.delete(data, col, axis=1)  # column-major, like data
     return Dataset(A, b)
 
 

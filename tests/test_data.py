@@ -174,6 +174,37 @@ class TestCsv:
         with pytest.raises(DomainError):
             load_csv(p)
 
+    def test_error_lines_count_records(self, tmp_path):
+        # a line number counts the non-empty records, header included
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,z\n\n1,2,3\n\n1,2\n")
+        with pytest.raises(RaggedRows, match="expected 3 fields, got 2") as err:
+            load_csv(p)
+        assert err.value.line == 3
+        p.write_text("1,2,3\n\n1,x,3\n1,2\n")
+        with pytest.raises(ParseError, match="non-numeric value in") as err:
+            load_csv(p, label_column=7)  # the rows are checked before the label column
+        assert err.value.line == 2
+        p.write_text("1,2,3\n")
+        with pytest.raises(InvalidDimensions, match="label column 7 out of range"):
+            load_csv(p, label_column=7)
+
+    def test_peak_memory_is_a_few_matrices(self, tmp_path, gen):
+        X = gen.standard_normal((1000, 301))
+        p = tmp_path / "d.csv"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"x{j}" for j in range(301)) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in X.tolist())
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, label_column=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.A, np.delete(X, 5, axis=1)) and ds.A.flags.f_contiguous
+        assert np.array_equal(ds.b, X[:, 5])
+        assert peak <= 3 * ds.A.nbytes
+
 
 class TestSvdGap:
     def test_prescribed_values_small(self):
@@ -587,3 +618,64 @@ class TestLibsvmPaths:
         with pytest.raises(InvalidDimensions, match="no features"):
             load_libsvm(p, n_features=n_features)
 
+
+class TestLibsvmPathsInChunks(TestLibsvmPaths):
+    """The same cases with every line its own chunk, and with chunks of a few lines."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 16])
+    def chunk_bytes(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_PARSE_CHUNK_BYTES", request.param)
+            yield request.param
+
+
+class TestLibsvmChunks:
+    """Chunked parsing: the first line that is not canonical, and the memory bound."""
+
+    @pytest.mark.parametrize("bad, later, error, line", [
+        ("1 1:0.5\t2:1.5", "1 2:1 1:1", NonAscendingIndexError, 23),  # its bytes
+        ("1 2:1.5 1:0.5", "1 1:0.5\t2:1.5", NonAscendingIndexError, 21),  # a falling index
+        ("1 1:0.5 2:1.5.5", "1 2:1 1:1", ParseError, 21),  # a field numpy cannot read
+    ])
+    def test_first_bad_line_in_a_later_chunk(self, tmp_path, monkeypatch, caplog, bad, later,
+                                             error, line):
+        lines = ["1 1:0.5 2:1.5"] * 30
+        lines[2], lines[6] = "# c", ""
+        lines[20], lines[22] = bad, later  # lines 21 and 23, in a later chunk
+        p = tmp_path / "d.libsvm"
+        p.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(data, "_PARSE_CHUNK_BYTES", 64)
+        with caplog.at_level(logging.DEBUG, logger="sigma_opt.data"):
+            with pytest.raises(error) as err:
+                load_libsvm(p)
+        assert "line 21 is not canonical" in caplog.text
+        assert err.value.line == line
+        _assert_same_as_token_path(p)
+
+    @pytest.mark.parametrize("bad", ["1 1:0.5 2:x", "1 1: 2:1.5", "1 2:0.5 2:1.5", "1 0:0.5"])
+    @pytest.mark.parametrize("where", [0, 1, 98, 198, 199])
+    def test_first_bad_line_within_a_chunk(self, tmp_path, caplog, bad, where):
+        # one chunk of 200 lines; the failing line is found by bisecting it
+        lines = ["1 1:0.5 2:1.5"] * 200
+        lines[where] = bad
+        lines[-1] = "1 1:0.5 2:x"
+        p = tmp_path / "d.libsvm"
+        p.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.DEBUG, logger="sigma_opt.data"):
+            _load_outcome(p)
+        assert f"line {where + 1} is not canonical" in caplog.text
+        _assert_same_as_token_path(p)
+
+    def test_peak_memory_is_a_few_matrices(self, tmp_path, gen):
+        A = np.asfortranarray(gen.standard_normal((1000, 300)))
+        b = gen.integers(0, 2, 1000).astype(float)
+        p = tmp_path / "d.libsvm"
+        write_libsvm(Dataset(A, b), p)
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.A, A) and np.array_equal(ds.b, b)
+        assert peak <= 3.5 * A.nbytes

@@ -14,7 +14,11 @@ and an SGD run whose last iterate's exact Poisson margins leave the domain.
 Before the runs come the generator lines: the sha256 of one ``haar_frame``
 and of ``svd_gap_matrix`` for a tall, a square and a wide spec and at the
 logistic-tall benchmark's 4000 x 2000, each hashed in row-major order
-whatever its layout.
+whatever its layout. Then come the loader lines, the sha256 of ``A`` and ``b``
+as loaded: ``load_libsvm`` on a ``write_libsvm`` file of a generated 2000 x
+500 matrix, on 20000 lines of one entry each and on a file with a tab in one
+line, which the token parser reads, and ``load_csv`` on a 200 x 51 file
+with a header.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -35,6 +39,8 @@ import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import logging  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -64,6 +70,33 @@ def generated():
     # the logistic-tall benchmark's matrix
     spec = so.SvdGapSpec(m=4000, N=2000, p=200, gap=100.0, seed=1)
     yield "svd_gap_matrix-4000x2000", so.svd_gap_matrix(spec, so.RngState(1))
+
+
+def loaded():
+    """``(name, dataset)`` for each loader line, from files written to a
+    temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data"
+        spec = so.SvdGapSpec(m=2000, N=500, p=100, gap=30.0, seed=41)
+        A = so.svd_gap_matrix(spec, so.RngState(41))
+        so.write_libsvm(so.Dataset(A, np.where(A[:, 0] > 0, 1.0, 0.0)), path)
+        yield "load_libsvm-2000x500", so.load_libsvm(path)
+        gen = np.random.default_rng(42)
+        cols, vals = gen.integers(1, 51, 20000), gen.standard_normal(20000)
+        path.write_text("".join(f"{i % 2} {j}:{v!r}\n"
+                                for i, (j, v) in enumerate(zip(cols.tolist(), vals.tolist()))))
+        yield "load_libsvm-20000-one-entry", so.load_libsvm(path)
+        A = gen.standard_normal((300, 40))
+        A[gen.random(A.shape) < 0.3] = 0.0
+        so.write_libsvm(so.Dataset(A, gen.standard_normal(300)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[150] = lines[150].replace(" ", "\t", 1)  # not canonical: the token parser reads it
+        path.write_text("".join(lines))
+        yield "load_libsvm-fallback-300x40", so.load_libsvm(path)
+        X = gen.standard_normal((200, 51))
+        path.write_text(",".join(f"x{j}" for j in range(51)) + "\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+        yield "load_csv-200x51", so.load_csv(path)
 
 
 def instance(kind, m, N, seed, xi2=1e-6):
@@ -122,6 +155,11 @@ def main():
     for name, arr in generated():
         h = hashlib.sha256(repr(arr.shape).encode())
         h.update(arr.tobytes(order="C"))
+        print(name, h.hexdigest(), flush=True)
+    for name, ds in loaded():
+        h = hashlib.sha256(repr(ds.A.shape).encode())
+        h.update(ds.A.tobytes(order="C"))
+        h.update(ds.b.tobytes())
         print(name, h.hexdigest(), flush=True)
     for name, solve, model, x0, cfg in runs():
         try:
