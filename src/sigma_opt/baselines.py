@@ -7,7 +7,10 @@ gradient descent with the ``t/(1 + gamma k)`` schedule, sub-sampled Newton
 Hessian replaced by its rank-r eigen-truncation plus a spectral floor).
 Newton and sub-sampled Newton are one :func:`sigma_opt.coarse.newton_direction`
 call (sub-sampled Newton passes its row sample), so on wide, regularized data
-they factor the m x m capacitance matrix, not an N x N Hessian.
+they factor the m x m capacitance matrix, not an N x N Hessian. NewSamp forms
+one N x N matrix, the sampled Hessian; its top r+1 eigenpairs come from
+:func:`sigma_opt.core.top_eigenpairs`, and its step is applied in closed form,
+with no N x N factorization.
 
 Newton-family methods stop on the squared decrement of their direction (for
 sub-sampled Newton and NewSamp a sampled one, which certifies no gap); GD and
@@ -20,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .coarse import newton_direction
-from .core import sample_without_replacement, spd_solve
+from .core import sample_without_replacement, top_eigenpairs
+from .core import spd_solve  # noqa: F401  perfbench/tracer.py looks up spd_solve here
 from .errors import InvalidDimensions, NotPositiveDefinite
 from .objectives import ObjectiveModel, Point
 from .rng import RngState
@@ -77,29 +81,47 @@ def newsamp_hessian(
     rows: np.ndarray,
     rank: int,
     w2: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row-sampled Hessian truncated to rank ``rank`` plus a spectral floor.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """NewSamp's truncation of the row-sampled Hessian: ``(floor, vals,
+    vecs)``, its top ``rank`` eigenvalues (ascending) with their eigenvectors
+    and, as ``floor``, its (rank+1)-th eigenvalue, from
+    :func:`~sigma_opt.core.top_eigenpairs`.
 
-    Keeps the top ``rank`` eigenpairs and replaces the tail by the (rank+1)-th
-    eigenvalue times the identity on the complement, which preserves positive
-    definiteness whenever that eigenvalue is positive. ``w2``, the curvature
-    row weights at ``x``, skips forming ``A x``.
+    The truncated matrix ``U diag(vals - floor) U^T + floor I`` keeps the
+    top ``rank`` eigenpairs and replaces the tail by ``floor`` on the
+    complement, so it is positive definite whenever ``floor`` is positive;
+    :func:`_newsamp_step` applies its inverse without forming it. ``w2``,
+    the curvature row weights at ``x``, skips forming ``A x``.
     """
     N = model.dataset.N
     if not 0 <= rank < N:
         raise InvalidDimensions(f"rank must be in [0, N), got {rank} with N={N}")
     full = np.arange(N, dtype=np.int64)
     h = model.reduced_hessian(x, full, rows, w2=w2)
-    vals, vecs = np.linalg.eigh(h)
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
-    floor = float(vals[rank])
+    # h is exactly symmetric, so h.T is the same matrix in column-major
+    # order, which dsytrd reduces in place, without a transposing copy
+    vals, vecs = top_eigenpairs(h.T, rank + 1)
+    floor = float(vals[0])
     if floor <= 0:
         raise NotPositiveDefinite(
             f"(rank+1)-th eigenvalue is {floor:.3e} <= 0; add l2 regularization or lower the rank"
         )
-    u = vecs[:, :rank]
-    out = (u * (vals[:rank] - floor)) @ u.T + floor * np.eye(N)
-    return 0.5 * (out + out.T)
+    return floor, vals[1:], vecs[:, 1:]
+
+
+def _newsamp_step(floor: float, vals: np.ndarray, vecs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """NewSamp's step ``-Q g`` for the truncation ``(floor, vals, vecs)`` of
+    :func:`newsamp_hessian`, in O(N rank): ``Q = I / floor + U (diag(1 /
+    vals) - I / floor) U^T`` is the inverse of ``U diag(vals - floor) U^T +
+    floor I``, applied without forming either.
+
+    Raises ``ValueError`` if ``g`` holds NaN or inf.
+    """
+    if not np.isfinite(g).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d = vecs @ ((1.0 / floor - 1.0 / vals) * (vecs.T @ g))
+    d -= g / floor
+    return d
 
 
 def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -> SolveResult:
@@ -122,7 +144,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
         g = point.g
         g_used, rule, t0 = g, DAMPED, 1.0
         if cfg.method == NEWSAMP:
-            d = spd_solve(newsamp_hessian(model, x, sample(rows_size), rank, w2=point.w2), -g)
+            d = _newsamp_step(*newsamp_hessian(model, x, sample(rows_size), rank, w2=point.w2), g)
             dec_sq = max(-float(g @ d), 0.0)
         else:  # GD from the unit step, SGD with its scheduled step
             if cfg.method == GD:

@@ -8,8 +8,11 @@ reduced systems are cheap.
 import logging
 
 import numpy as np
+from scipy.linalg import eigh as _eigh
 from scipy.linalg.lapack import dgeqrf as _geqrf, dgeqrf_lwork as _geqrf_lwork, dorgqr as _orgqr
+from scipy.linalg.lapack import dormqr as _ormqr, dstein as _stein, dsterf as _sterf
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dsytrd as _sytrd, dsytrd_lwork as _sytrd_lwork
 
 from .errors import DomainError, InvalidDimensions, NotPositiveDefinite
 from .rng import RngState
@@ -100,6 +103,69 @@ def spd_solve(A: np.ndarray, rhs: np.ndarray, overwrite_a: bool = False) -> np.n
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     return spd_factor(A, overwrite_a)(rhs)
+
+
+def top_eigenpairs(H: np.ndarray, k: int):
+    """The ``k`` largest eigenvalues of symmetric ``H``, ascending, and their
+    orthonormal eigenvectors as the columns of an N x k matrix.
+
+    LAPACK routines bound at import: ``dsytrd`` reduces the lower triangle
+    of ``H`` to a tridiagonal ``T`` (blocked), ``dsterf`` finds every
+    eigenvalue of ``T``, inverse iteration (``dstein``) the top ``k``
+    eigenvectors, and ``dormqr`` transforms them back. Only the reduction
+    costs O(N^3). When ``T`` splits (an off-diagonal fails ``dstebz``'s
+    split test, as for a diagonal or a 1 x 1 ``H``) or ``dstein`` reports a
+    failure, it returns ``scipy.linalg.eigh(H, subset_by_index=[N - k, N -
+    1])`` instead and logs that at DEBUG. ``H`` must be exactly symmetric;
+    a column-major ``H`` is overwritten (pass ``H.T`` for a row-major one),
+    any other is copied.
+
+    Raises
+    ------
+    InvalidDimensions
+        If ``H`` is not square or ``k`` is not in ``[1, N]``.
+    ValueError
+        If ``H`` holds NaN or inf.
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidDimensions(f"expected a square matrix, got shape {H.shape}")
+    N = H.shape[0]
+    if not 1 <= k <= N:
+        raise InvalidDimensions(f"need 1 <= k <= N, got k={k}, N={N}")
+    if not np.isfinite(H).all():
+        raise ValueError("array must not contain infs or NaNs")
+    diag = np.diagonal(H).copy()
+    lwork, info = _sytrd_lwork(N, lower=1)
+    _check_info(info, "dsytrd")
+    c, d, e, tau, info = _sytrd(H, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info(info, "dsytrd")
+    ulp, safmin = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    if N > 1 and np.all(e * e >= np.abs(d[1:] * d[:-1]) * ulp**2 + safmin):
+        vals, info = _sterf(d, e)
+        if info == 0:
+            vals = vals[N - k:]
+            # one block: every eigenvalue in block 1, which ends at row N
+            z, info = _stein(d, e, vals, np.ones(N, np.int32), np.full(N, N, np.int32))
+        if info == 0:
+            # Q = H(1) ... H(N-1), and H(i) keeps its reflector below the
+            # subdiagonal: the QR reflectors of the last N - 1 rows. With c's
+            # leading dimension N they are the contiguous N x (N - 1) block
+            # from c[1, 0] on, whose last row (c's first, from column 1)
+            # dormqr never reads; slicing c[1:, :-1] would copy them.
+            a = c.reshape(-1, order="F")[1:1 + N * (N - 1)].reshape((N, N - 1), order="F")
+            _, work, info = _ormqr("L", "N", a, tau, z[1:], -1)
+            _check_info(info, "dormqr")
+            z[1:], _, info = _ormqr("L", "N", a, tau, z[1:], int(work[0]), overwrite_c=1)
+            _check_info(info, "dormqr")
+            return vals, z
+        logger.debug("top_eigenpairs: dsterf or dstein returned info %d; eigh of the %d x %d "
+                     "matrix", info, N, N)
+    else:
+        logger.debug("top_eigenpairs: the %d x %d tridiagonal splits; eigh of the matrix", N, N)
+    np.fill_diagonal(c, diag)  # dsytrd left the strict upper triangle as it was
+    return _eigh(c, lower=False, subset_by_index=[N - k, N - 1], overwrite_a=True,
+                 check_finite=False)
 
 
 def omega(x):

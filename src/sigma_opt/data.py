@@ -266,8 +266,7 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     chunks = _libsvm_fast(path)
     if isinstance(chunks, int):
         logger.debug("%s: line %d is not canonical; parsing token by token", path, chunks)
-        labels, rows, idx, vals = _libsvm_tokens(path)
-        chunks = [(labels, np.bincount(rows, minlength=labels.size), idx - 1, vals)]
+        chunks = _libsvm_tokens(path)
     m = sum(chunk[0].size for chunk in chunks)
     if not m:
         raise ParseError(f"{path}: no data lines")
@@ -366,10 +365,16 @@ def _parse_chunk(text, linenos, counts):
 
 
 def _libsvm_tokens(path):
-    """The reference parser, token by token, raising each parse error with its line."""
-    labels, entries = [], []
+    """The reference parser, token by token, raising each parse error with its
+    line. Returns the file's numbers as :func:`_libsvm_fast` does, in chunks
+    of about ``_PARSE_CHUNK_BYTES`` of lines, with int64 columns: each line's
+    numbers are appended to typed arrays, not kept as Python objects.
+    """
+    chunks, size = [], 0
+    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            size += len(line)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -394,9 +399,15 @@ def _libsvm_tokens(path):
                     raise NonAscendingIndexError(f"index {idx} not ascending (previous {prev})",
                                                  line=lineno)
                 prev = idx
-                entries.append((len(labels) - 1, idx, val))
-    e = np.array(entries, dtype=[("row", np.int64), ("idx", np.int64), ("val", np.float64)])
-    return np.array(labels, dtype=np.float64), e["row"], e["idx"], e["val"]
+                cols.append(idx - 1)
+                vals.append(val)
+            counts.append(len(tokens) - 1)
+            if size >= _PARSE_CHUNK_BYTES:
+                chunks.append((labels, counts, cols, vals))
+                labels, counts, cols, vals, size = array("d"), array("q"), array("q"), array("d"), 0
+    if labels:
+        chunks.append((labels, counts, cols, vals))
+    return [tuple(np.frombuffer(a, dtype=a.typecode) for a in chunk) for chunk in chunks]
 
 
 def write_libsvm(ds: Dataset, path) -> None:

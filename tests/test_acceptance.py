@@ -222,8 +222,10 @@ def _gap_study_run(p, solver_seed, max_iter, data_seed=2):
 def test_c09_eigenvalue_gap_study():
     # data seed 2 is the first whose Haar column span meets the positive
     # orthant (the domain is empty for roughly half the draws at m = 2N);
-    # solver seeds 1..5 supply the randomness under study
-    started = time.monotonic()
+    # solver seeds 1..5 supply the randomness under study. The time bound is
+    # on this process's CPU time over all its threads, which catches a slow
+    # solver but not another process sharing the cores
+    started = time.process_time()
     fast = [_gap_study_run(40, s, max_iter=3000) for s in (1, 2, 3, 4, 5)]
     ok_fast = all(h is not None for h in fast)
     median_fast = float(np.median([h for h in fast if h is not None])) if ok_fast else np.inf
@@ -233,10 +235,10 @@ def test_c09_eigenvalue_gap_study():
     # which only understates the slow median
     slow_censored = [h if h is not None else cap for h in slow]
     median_slow = float(np.median(slow_censored)) if slow_censored else 0.0
-    elapsed = time.monotonic() - started
+    elapsed = time.process_time() - started
     ok = ok_fast and median_fast <= 0.5 * median_slow and elapsed < 120.0
     report(9, ok, f"median iters to 1e-6: p=0.2N -> {median_fast:g}, p=0.8N -> "
-                  f">={median_slow:g} (censored at {cap}), {elapsed:.0f}s")
+                  f">={median_slow:g} (censored at {cap}), {elapsed:.0f}s CPU")
 
 
 def test_c10_small_m_large_N_regime():

@@ -18,6 +18,8 @@ from sigma_opt import (
     sigma_solve,
     spd_solve,
 )
+from sigma_opt import core
+from sigma_opt.baselines import _newsamp_step
 from sigma_opt.errors import InvalidDimensions, NotPositiveDefinite
 
 
@@ -160,32 +162,38 @@ class TestSubNewton:
             sigma_solve(model, np.zeros(4), SigmaConfig(n=2, row_sample=11))
 
 
+def assembled(truncation):
+    # the matrix NewSamp's truncation stands for: U diag(vals - floor) U^T + floor I
+    floor, vals, vecs = truncation
+    return (vecs * (vals - floor)) @ vecs.T + floor * np.eye(vecs.shape[0])
+
+
 class TestNewsampHessian:
     def test_full_rank_minus_one_reconstructs(self, gen):
         model = random_gaussian_model(gen, m=30, N=6, reg=Regularization(xi2=1e-3))
         x = gen.standard_normal(6)
         rows = np.arange(30, dtype=np.int64)
         H = model.hessian(x)
-        H5 = newsamp_hessian(model, x, rows, rank=5)
+        H5 = assembled(newsamp_hessian(model, x, rows, rank=5))
         assert np.max(np.abs(H - H5)) <= 1e-8
 
     def test_diagonal_truncation(self):
         model = diag_hessian_model([4.0, 2.0, 1.0])
         rows = np.arange(3, dtype=np.int64)
-        out = newsamp_hessian(model, np.zeros(3), rows, rank=1)
+        out = assembled(newsamp_hessian(model, np.zeros(3), rows, rank=1))
         assert np.allclose(out, np.diag([4.0, 2.0, 2.0]), atol=1e-12)
 
     def test_rank_zero_is_spectral_floor_identity(self):
         model = diag_hessian_model([4.0, 2.0, 1.0])
         rows = np.arange(3, dtype=np.int64)
-        out = newsamp_hessian(model, np.zeros(3), rows, rank=0)
+        out = assembled(newsamp_hessian(model, np.zeros(3), rows, rank=0))
         assert np.allclose(out, 4.0 * np.eye(3), atol=1e-12)
 
     def test_spd_whenever_sample_pd(self, gen):
         model = random_logistic_model(gen, m=40, N=6, reg=Regularization(xi2=1e-3))
         rows = np.arange(0, 40, 2, dtype=np.int64)
         for _ in range(5):
-            out = newsamp_hessian(model, gen.standard_normal(6), rows, rank=2)
+            out = assembled(newsamp_hessian(model, gen.standard_normal(6), rows, rank=2))
             assert np.linalg.eigvalsh(out).min() > 0
 
     def test_rank_bounds(self, gen):
@@ -203,6 +211,34 @@ class TestNewsampHessian:
             newsamp_hessian(model, np.zeros(2), rows, rank=1)
 
 
+class TestNewsampStep:
+    @pytest.mark.parametrize("case", ["tall-logistic", "wide-gaussian", "diagonal"])
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_closed_form_matches_the_assembled_solve(self, gen, case, rank):
+        if case == "tall-logistic":
+            model = random_logistic_model(gen, m=80, N=12, reg=Regularization(xi2=1e-3))
+        elif case == "wide-gaussian":
+            model = random_gaussian_model(gen, m=8, N=20, reg=Regularization(xi2=1e-2))
+        else:
+            model = diag_hessian_model([4.0, 2.0, 1.0, 0.5, 3.0])
+        m, N = model.dataset.m, model.dataset.N
+        x = 0.3 * gen.standard_normal(N)
+        rows = np.arange(m, dtype=np.int64)  # the diagonal model's Hessian needs every row
+        if case != "diagonal":
+            rows = np.sort(gen.choice(m, size=m // 2, replace=False)).astype(np.int64)
+        truncation = newsamp_hessian(model, x, rows, rank)
+        g = model.gradient(x)
+        expected = spd_solve(assembled(truncation), -g)
+        d = _newsamp_step(*truncation, g)
+        assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_non_finite_gradient_raises(self):
+        truncation = newsamp_hessian(diag_hessian_model([4.0, 2.0, 1.0]), np.zeros(3),
+                                     np.arange(3, dtype=np.int64), 1)
+        with pytest.raises(ValueError):
+            _newsamp_step(*truncation, np.array([1.0, np.inf, 0.0]))
+
+
 class TestNewsampSolve:
     def test_converges(self, gen):
         model = random_logistic_model(gen, m=60, N=10, reg=Regularization(xi2=1e-3))
@@ -211,6 +247,18 @@ class TestNewsampSolve:
         )
         res = baseline_solve(model, np.zeros(10), cfg)
         assert res.status == "converged"
+
+    def test_factors_no_matrix(self, gen, monkeypatch):
+        # the step is applied in closed form: no Cholesky of any matrix
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a matrix was factored")
+
+        monkeypatch.setattr(core, "spd_factor", forbidden)
+        model = random_logistic_model(gen, m=60, N=10, reg=Regularization(xi2=1e-3))
+        cfg = BaselineConfig(
+            method="newsamp", rows=30, rank=4, epsilon=1e-10, max_iter=300, seed=5
+        )
+        assert baseline_solve(model, np.zeros(10), cfg).status == "converged"
 
 
 class TestSharedBehavior:

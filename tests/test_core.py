@@ -15,7 +15,8 @@ from sigma_opt import (
     sample_without_replacement,
     spd_solve,
 )
-from sigma_opt.core import haar_frame
+from sigma_opt import core
+from sigma_opt.core import haar_frame, top_eigenpairs
 from sigma_opt.errors import DomainError, InvalidDimensions, NotPositiveDefinite
 
 
@@ -271,6 +272,85 @@ class TestHaar:
         assert q.shape == shape
         assert q.flags.f_contiguous
         assert np.array_equal(q, reference_haar_frame(*shape, RngState(13).child()))
+
+
+def assert_top_eigenpairs(H, k, vals, vecs, rtol=1e-13):
+    # against numpy's full eigh: the k largest eigenvalues, ascending, and
+    # orthonormal vectors with a small residual
+    N = H.shape[0]
+    expected = np.linalg.eigh(H).eigenvalues[N - k:]
+    assert vals.shape == (k,) and vecs.shape == (N, k)
+    assert np.max(np.abs(vals - expected) / np.abs(expected)) <= rtol
+    scale = np.linalg.norm(H, 2)
+    assert np.linalg.norm(H @ vecs - vecs * vals) <= rtol * scale
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= rtol
+
+
+def no_fallback(*args, **kwargs):
+    raise AssertionError("top_eigenpairs fell back to scipy's eigh")
+
+
+class TestTopEigenpairs:
+    @pytest.mark.parametrize("N", [1, 2, 50, 300])
+    @pytest.mark.parametrize("k_of", [lambda N: 1, lambda N: max(1, N // 10), lambda N: N],
+                             ids=["1", "N/10", "N"])
+    def test_random_spd_against_eigh(self, gen, monkeypatch, N, k_of):
+        k = k_of(N)
+        M = gen.standard_normal((N, N))
+        H = M @ M.T + np.eye(N)
+        if N > 1:  # a 1 x 1 tridiagonal counts as split
+            monkeypatch.setattr(core, "_eigh", no_fallback)
+        vals, vecs = top_eigenpairs(H.copy(), k)
+        assert_top_eigenpairs(H, k, vals, vecs)
+
+    def test_clustered_top_spectrum(self, gen, monkeypatch):
+        N, k = 200, 20
+        Q = np.linalg.qr(gen.standard_normal((N, N)))[0]
+        spectrum = np.linspace(0.1, 1.0, N)
+        spectrum[-10:] = 5.0 + 1e-12 * np.arange(10)  # ten eigenvalues within 1e-11
+        H = (Q * spectrum) @ Q.T
+        H = np.triu(H) + np.triu(H, 1).T  # exactly symmetric
+        monkeypatch.setattr(core, "_eigh", no_fallback)
+        vals, vecs = top_eigenpairs(H.copy(), k)
+        assert_top_eigenpairs(H, k, vals, vecs)
+
+    def test_split_tridiagonal_falls_back(self, caplog):
+        # a diagonal matrix is its own tridiagonal, with every off-diagonal 0;
+        # column-major, so the reduction overwrites it before the fallback
+        H = np.diag([3.0, 1.0, 4.0, 1.5, 9.0, 2.0])
+        with caplog.at_level(logging.DEBUG, logger="sigma_opt.core"):
+            vals, vecs = top_eigenpairs(np.asfortranarray(H), 3)
+        assert "splits" in caplog.text
+        assert_top_eigenpairs(H, 3, vals, vecs)
+        np.testing.assert_array_equal(vals, [3.0, 4.0, 9.0])
+        np.testing.assert_array_equal(np.abs(vecs[[0, 2, 4]]), np.eye(3))
+
+    def test_dstein_failure_falls_back(self, gen, monkeypatch, caplog):
+        M = gen.standard_normal((30, 30))
+        H = M @ M.T + np.eye(30)
+        monkeypatch.setattr(core, "_stein", lambda d, e, w, *args: (None, 2))
+        with caplog.at_level(logging.DEBUG, logger="sigma_opt.core"):
+            vals, vecs = top_eigenpairs(H.T.copy(order="F"), 4)
+        assert "returned info 2" in caplog.text
+        assert_top_eigenpairs(H, 4, vals, vecs)
+
+    def test_column_major_input_is_reduced_in_place(self, gen):
+        M = gen.standard_normal((20, 20))
+        H = M @ M.T
+        C, F = H.copy(), np.asfortranarray(H)
+        top_eigenpairs(C, 2)
+        np.testing.assert_array_equal(C, H)  # a row-major matrix is copied first
+        top_eigenpairs(F, 2)
+        assert not np.array_equal(F, H)
+
+    def test_invalid(self):
+        with pytest.raises(InvalidDimensions):
+            top_eigenpairs(np.ones((2, 3)), 1)
+        for k in (0, 3):
+            with pytest.raises(InvalidDimensions):
+                top_eigenpairs(np.eye(2), k)
+        with pytest.raises(ValueError):
+            top_eigenpairs(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))

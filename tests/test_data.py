@@ -679,3 +679,20 @@ class TestLibsvmChunks:
             tracemalloc.stop()
         assert np.array_equal(ds.A, A) and np.array_equal(ds.b, b)
         assert peak <= 3.5 * A.nbytes
+
+    def test_token_parser_peak_memory_is_a_few_matrices(self, tmp_path, gen):
+        A = np.asfortranarray(gen.standard_normal((1000, 300)))
+        b = gen.integers(0, 2, 1000).astype(float)
+        p = tmp_path / "d.libsvm"
+        write_libsvm(Dataset(A, b), p)
+        lines = p.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(" ", "\t", 1)  # not canonical: the token parser reads it
+        p.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.A, A) and np.array_equal(ds.b, b)
+        assert peak <= 3.5 * A.nbytes

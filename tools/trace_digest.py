@@ -10,7 +10,9 @@ baselines), a matrix with fewer rows than the coarse dimension, with and
 without a regularizer (the capacitance solve and the shifted n x n
 Cholesky; SIGMA in its default and ``full_decrement`` modes, Newton and
 sub-sampled Newton, whose full-operator systems take the same two routes),
-and an SGD run whose last iterate's exact Poisson margins leave the domain.
+an SGD run whose last iterate's exact Poisson margins leave the domain,
+and NewSamp at the cli-libsvm benchmark's shape (logistic, ``xi2`` 1e-4,
+default rows and rank, 10 iterations) on the loaded 2000 x 500 file.
 Before the runs come the generator lines: the sha256 of one ``haar_frame``
 and of ``svd_gap_matrix`` for a tall, a square and a wide spec and at the
 logistic-tall benchmark's 4000 x 2000, each hashed in row-major order
@@ -112,8 +114,9 @@ def instance(kind, m, N, seed, xi2=1e-6):
     return A, b, x_true, so.Regularization(xi2=xi2)
 
 
-def runs():
-    """``(name, solve, model, x0, config)`` for each run."""
+def runs(libsvm):
+    """``(name, solve, model, x0, config)`` for each run; ``libsvm`` is the
+    loaded 2000 x 500 dataset."""
     common = dict(epsilon=1e-12, max_iter=40)
     for kind, seed in itertools.product(("gaussian", "logistic", "poisson"), (11, 12)):
         A, b, _, reg = instance(kind, 90, 30, seed)
@@ -147,6 +150,9 @@ def runs():
     model = so.make_objective("poisson", so.Dataset(np.asfortranarray(A), b), reg)
     cfg = so.BaselineConfig(method="sgd", epsilon=1e-14, max_iter=25, seed=2)
     yield "poisson77-F-sgd-terminal", so.baseline_solve, model, x_true, cfg
+    model = so.make_objective("logistic", libsvm, so.Regularization(xi2=1e-4))
+    cfg = so.BaselineConfig(method="newsamp", epsilon=1e-12, max_iter=10, seed=1)
+    yield "load_libsvm-2000x500-newsamp", so.baseline_solve, model, so.feasible_start(model), cfg
 
 
 def main():
@@ -156,12 +162,14 @@ def main():
         h = hashlib.sha256(repr(arr.shape).encode())
         h.update(arr.tobytes(order="C"))
         print(name, h.hexdigest(), flush=True)
+    loads = {}
     for name, ds in loaded():
         h = hashlib.sha256(repr(ds.A.shape).encode())
         h.update(ds.A.tobytes(order="C"))
         h.update(ds.b.tobytes())
         print(name, h.hexdigest(), flush=True)
-    for name, solve, model, x0, cfg in runs():
+        loads[name] = ds
+    for name, solve, model, x0, cfg in runs(loads["load_libsvm-2000x500"]):
         try:
             line = digest(solve(model, x0, cfg))
         except Exception as exc:  # an escape shows as one line, not a traceback
