@@ -27,7 +27,6 @@ from .data import (
     SvdGapSpec,
     load_csv,
     load_libsvm,
-    positive_margin_start,
     standardize,
     svd_gap_matrix,
     synth_labels,

@@ -92,6 +92,11 @@ def newsamp_hessian(
     complement, so it is positive definite whenever ``floor`` is positive;
     :func:`_newsamp_step` applies its inverse without forming it. ``w2``,
     the curvature row weights at ``x``, skips forming ``A x``.
+
+    Raises :class:`NotPositiveDefinite` when ``floor`` is at most ``N eps``
+    times the largest returned eigenvalue, numpy's ``matrix_rank`` cutoff:
+    such a floor is rounding noise, and dividing the tail by it would blow
+    the step up.
     """
     N = model.dataset.N
     if not 0 <= rank < N:
@@ -102,9 +107,11 @@ def newsamp_hessian(
     # order, which dsytrd reduces in place, without a transposing copy
     vals, vecs = top_eigenpairs(h.T, rank + 1)
     floor = float(vals[0])
-    if floor <= 0:
+    cutoff = max(N * np.finfo(np.float64).eps * float(vals[-1]), 0.0)
+    if floor <= cutoff:
         raise NotPositiveDefinite(
-            f"(rank+1)-th eigenvalue is {floor:.3e} <= 0; add l2 regularization or lower the rank"
+            f"(rank+1)-th eigenvalue is {floor:.3e} <= {cutoff:.3e} (N eps times the largest); "
+            "add l2 regularization or lower the rank"
         )
     return floor, vals[1:], vecs[:, 1:]
 

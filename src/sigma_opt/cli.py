@@ -27,7 +27,6 @@ from . import baselines, solver
 from . import data as data_mod
 from .baselines import METHODS, BaselineConfig
 from .data import _fmt
-from .errors import NoFeasibleStart
 from .objectives import (
     GAUSSIAN,
     KINDS,
@@ -118,16 +117,15 @@ def _build_dataset(p: dict):
 
 def _run(p: dict, ds, x_true, seed: int):
     """Build the model, pick a start and run ``p["solver"]`` (the multilevel
-    solver or a baseline) on it; returns ``(model, SolveResult, config)``."""
+    solver or a baseline) on it; returns ``(model, SolveResult, config)``.
+    A synthetic Poisson run starts at its ground truth when that point is
+    feasible; every other run starts at :func:`feasible_start`."""
     reg = Regularization(xi2=p["xi2"], xi1=p["xi1"], c=p["huber_c"])
     model = make_objective(p["model"], ds, reg)
-    try:
+    if model.kind == POISSON and x_true is not None and model.predict(x_true).min() > 0:
+        x0 = x_true
+    else:
         x0 = feasible_start(model)
-    except NoFeasibleStart:
-        if x_true is not None and model.predict(x_true).min() > 0:
-            x0 = x_true
-        else:
-            x0 = data_mod.positive_margin_start(model.dataset)
     if p["solver"] == "sigma":
         n = p["n"] if p["n"] is not None else max(1, ds.N // 2)
         cfg = _config(SigmaConfig, p, n=n, row_sample=p["rows"], seed=seed)

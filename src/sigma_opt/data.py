@@ -26,16 +26,14 @@ from .errors import (
     DomainError,
     InfeasibleSynthesis,
     InvalidDimensions,
-    NoFeasibleStart,
     NonAscendingIndexError,
     ParseError,
     RaggedRows,
 )
-from .objectives import GAUSSIAN, KINDS, POISSON, Dataset
+from .objectives import GAUSSIAN, KINDS, POISSON, Dataset, _positive_margin_vector
 from .rng import RngState
 
 logger = logging.getLogger(__name__)
-_MEAN_MARGIN = 5.0  # positive-margin points are rescaled to this mean margin
 _OVERLAP_MIN_K = 200  # svd_gap_matrix factors its frames concurrently from this k on
 _PARSE_CHUNK_BYTES = 1 << 20  # load_libsvm reads canonical lines in chunks of about this much text
 
@@ -130,8 +128,9 @@ def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndar
 
     * gaussian: ``b = A x_true + sigma_noise * eps``.
     * poisson: ``x_true`` is searched (least squares against positive targets,
-      up to 100 tries sharing one factorization of ``A``, then an LP) so all
-      margins are positive, then ``b_i = max(1, Poisson(a_i^T x_true))``.
+      up to 100 tries sharing one factorization of ``A``, then an LP, as
+      :func:`~sigma_opt.objectives.feasible_start` searches) so all margins
+      are positive and average 5, then ``b_i = max(1, Poisson(a_i^T x_true))``.
     * logistic: ``b_i = sign(a_i^T x_true + sigma_noise * eps)`` in {-1, +1}.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -147,95 +146,9 @@ def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndar
     x_true = _positive_margin_vector(A, gen, tries=100)
     if x_true is None:
         raise InfeasibleSynthesis("no ground-truth vector with positive margins found")
-    x_true = x_true * (_MEAN_MARGIN / float((A @ x_true).mean()))
     rates = A @ x_true
     b = np.maximum(1, gen.poisson(rates)).astype(np.float64)
     return b, x_true
-
-
-def positive_margin_start(dataset: Dataset) -> np.ndarray:
-    """Search for ``x`` with ``A x`` entrywise positive, rescaled so the margins
-    average 5 (``_MEAN_MARGIN``).
-
-    Tries least squares against up to 20 positive targets (all ones, then
-    draws from seed 0), then decides the feasibility cone exactly with an LP.
-    Complements :func:`~sigma_opt.objectives.feasible_start` when the
-    all-ones heuristic fails, e.g. for Haar-random matrices whose row sums
-    have mixed signs.
-    """
-    x = _positive_margin_vector(dataset.A, np.random.default_rng(0), tries=20)
-    if x is None:
-        raise NoFeasibleStart("the domain {x : A x > 0} is empty or numerically so")
-    return x * (_MEAN_MARGIN / float((dataset.A @ x).mean()))
-
-
-def _max_min_margin(A: np.ndarray) -> np.ndarray | None:
-    """LP for the most-interior ray of the cone {x : A x > 0}.
-
-    Maximizes the smallest margin subject to a fixed margin sum, which keeps
-    the synthesized Poisson rates on one scale instead of spanning orders of
-    magnitude.
-    """
-    import scipy.optimize
-
-    m, N = A.shape
-    # variables (x, s): max s  s.t.  A x >= s, sum(A x) = m
-    c = np.zeros(N + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-A, np.ones((m, 1))])
-    A_eq = np.hstack([A.sum(axis=0, keepdims=True), np.zeros((1, 1))])
-    res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=np.array([float(m)]),
-        bounds=[(None, None)] * N + [(0.0, None)], method="highs",
-    )
-    if res.status != 0 or res.x is None:
-        return None
-    x = res.x[:-1]
-    return x if float((A @ x).min()) > 0 else None
-
-
-def _positive_margin_vector(A: np.ndarray, gen: np.random.Generator, tries: int) -> np.ndarray | None:
-    """Search for ``x`` with ``A x`` entrywise positive.
-
-    Least squares against positive targets works when the column span is wide
-    (m <= N); otherwise the feasibility cone is thin and an exact LP decides
-    it, returning the most-interior direction so the margins stay comparable.
-
-    The first target is all ones. If it fails, one thin SVD of ``A`` gives the
-    range ``lstsq`` projects onto, and a later target ``u`` whose projection
-    ``P u`` has a clearly negative entry skips its exact solve, which could
-    not succeed. Every try still draws its target, so the result and ``gen``'s
-    state are those of one ``lstsq`` per try.
-    """
-    m = A.shape[0]
-    u = np.ones(m)
-    basis = None  # of the range lstsq fits A x in, once the first try has failed
-    for k in range(tries):
-        if k == 1:
-            basis, tol = _lstsq_range(A)
-        if basis is None or (basis @ (basis.T @ u)).min() >= -tol * np.linalg.norm(u):
-            x, *_ = np.linalg.lstsq(A, u, rcond=None)
-            if float((A @ x).min()) > 0:
-                return x
-        u = 1.0 + np.abs(gen.standard_normal(m))
-    return _max_min_margin(A)
-
-
-def _lstsq_range(A: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``(U_r, tol)``: the left singular vectors of ``A`` above gelsd's cutoff
-    ``eps * max(m, N) * s_max``, which span the range ``lstsq(A, u,
-    rcond=None)`` fits ``A x`` in, and a bound on ``|A x - U_r U_r^T u| /
-    ||u||``, 1e4 times its rounding scale ``eps * s_max / s_r`` (on 400x200
-    draws the gap is about 4e-14, ``tol`` 4e-9). ``U_r`` is None when a
-    singular value lies within 2x of the cutoff, on either side of which
-    rounding could put it."""
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    eps = np.finfo(np.float64).eps
-    cutoff = eps * max(A.shape) * s[0]
-    r = int(np.count_nonzero(s > cutoff))
-    if r == 0 or np.any((s > cutoff / 2) & (s < 2 * cutoff)):
-        return None, 0.0
-    return U[:, :r], 1e4 * eps * s[0] / s[r - 1]
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -25,6 +25,7 @@ GAUSSIAN = "gaussian"
 POISSON = "poisson"
 LOGISTIC = "logistic"
 KINDS = (GAUSSIAN, POISSON, LOGISTIC)
+_MEAN_MARGIN = 5.0  # positive-margin points are rescaled to this mean margin
 
 
 @dataclass
@@ -374,19 +375,94 @@ def make_objective(kind: str, dataset: Dataset, reg: Regularization | None = Non
 def feasible_start(model: ObjectiveModel) -> np.ndarray:
     """A point in the objective's domain.
 
-    Gaussian/logistic: the zero vector. Poisson: the all-ones direction scaled
-    by the row sums so every margin is at least 1; if the row sums have mixed
-    signs (or a zero row exists) that direction cannot work and the caller must
-    supply a start.
+    Gaussian/logistic: the zero vector. Poisson: the all-ones direction
+    scaled by the row sums so every margin is at least 1 when they share a
+    sign; otherwise the search of :func:`_positive_margin_vector` (20 tries,
+    seed 0). Raises :class:`NoFeasibleStart` when the search finds no point.
     """
-    N = model.dataset.N
+    A, N = model.dataset.A, model.dataset.N
     if model.kind != POISSON:
         return np.zeros(N)
-    r = model.dataset.A @ np.ones(N)
+    r = A @ np.ones(N)
     if np.all(r > 0):
         return np.ones(N) / float(r.min())
     if np.all(r < 0):
         return -np.ones(N) / float((-r).min())
-    raise NoFeasibleStart(
-        "rows cannot all be made positive along the all-ones direction; supply x0 explicitly"
+    x = _positive_margin_vector(A, np.random.default_rng(0), tries=20)
+    if x is None:
+        raise NoFeasibleStart("the domain {x : A x > 0} is empty or numerically so")
+    return x
+
+
+def _positive_margin_vector(A: np.ndarray, gen: np.random.Generator, tries: int) -> np.ndarray | None:
+    """Search for ``x`` with ``A x`` entrywise positive, rescaled so the
+    margins average ``_MEAN_MARGIN``; None when none is found.
+
+    Least squares against positive targets works when the column span is wide
+    (m <= N); otherwise the feasibility cone is thin and an exact LP decides
+    it, returning the most-interior direction so the margins stay comparable.
+
+    The first target is all ones. If it fails, one thin SVD of ``A`` gives the
+    range ``lstsq`` projects onto, and a later target ``u`` whose projection
+    ``P u`` has a clearly negative entry skips its exact solve, which could
+    not succeed. Every try still draws its target, so the result and ``gen``'s
+    state are those of one ``lstsq`` per try.
+    """
+    m = A.shape[0]
+    u = np.ones(m)
+    basis = None  # of the range lstsq fits A x in, once the first try has failed
+    for k in range(tries):
+        if k == 1:
+            basis, tol = _lstsq_range(A)
+        if basis is None or (basis @ (basis.T @ u)).min() >= -tol * np.linalg.norm(u):
+            x, *_ = np.linalg.lstsq(A, u, rcond=None)
+            if float((A @ x).min()) > 0:
+                break
+        u = 1.0 + np.abs(gen.standard_normal(m))
+    else:
+        x = _max_min_margin(A)
+        if x is None:
+            return None
+    return x * (_MEAN_MARGIN / float((A @ x).mean()))
+
+
+def _lstsq_range(A: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(U_r, tol)``: the left singular vectors of ``A`` above gelsd's cutoff
+    ``eps * max(m, N) * s_max``, which span the range ``lstsq(A, u,
+    rcond=None)`` fits ``A x`` in, and a bound on ``|A x - U_r U_r^T u| /
+    ||u||``, 1e4 times its rounding scale ``eps * s_max / s_r`` (on 400x200
+    draws the gap is about 4e-14, ``tol`` 4e-9). ``U_r`` is None when a
+    singular value lies within 2x of the cutoff, on either side of which
+    rounding could put it."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    eps = np.finfo(np.float64).eps
+    cutoff = eps * max(A.shape) * s[0]
+    r = int(np.count_nonzero(s > cutoff))
+    if r == 0 or np.any((s > cutoff / 2) & (s < 2 * cutoff)):
+        return None, 0.0
+    return U[:, :r], 1e4 * eps * s[0] / s[r - 1]
+
+
+def _max_min_margin(A: np.ndarray) -> np.ndarray | None:
+    """LP for the most-interior ray of the cone {x : A x > 0}.
+
+    Maximizes the smallest margin subject to a fixed margin sum, which keeps
+    the synthesized Poisson rates on one scale instead of spanning orders of
+    magnitude.
+    """
+    import scipy.optimize
+
+    m, N = A.shape
+    # variables (x, s): max s  s.t.  A x >= s, sum(A x) = m
+    c = np.zeros(N + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-A, np.ones((m, 1))])
+    A_eq = np.hstack([A.sum(axis=0, keepdims=True), np.zeros((1, 1))])
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=np.array([float(m)]),
+        bounds=[(None, None)] * N + [(0.0, None)], method="highs",
     )
+    if res.status != 0 or res.x is None:
+        return None
+    x = res.x[:-1]
+    return x if float((A @ x).min()) > 0 else None

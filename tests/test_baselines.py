@@ -248,6 +248,19 @@ class TestNewsampSolve:
         res = baseline_solve(model, np.zeros(10), cfg)
         assert res.status == "converged"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounding_noise_floor_is_an_error(self, seed):
+        # 10 sampled rows give the 120 x 120 sampled Hessian rank 10, so its
+        # 13th eigenvalue, NewSamp's floor at rank 12, is rounding noise (about
+        # 5e-15); dividing the tail by it gave lambda_hat near 1e7 and a run
+        # that spent its whole budget
+        model = random_gaussian_model(np.random.default_rng(seed), m=20, N=120)
+        res = baseline_solve(model, np.zeros(120),
+                             BaselineConfig(method="newsamp", max_iter=50, seed=seed))
+        assert res.status == "error" and res.iterations == 0
+        assert [r.direction for r in res.trace] == ["fine"]
+        assert "(rank+1)-th eigenvalue" in res.message
+
     def test_factors_no_matrix(self, gen, monkeypatch):
         # the step is applied in closed form: no Cholesky of any matrix
         def forbidden(*args, **kwargs):

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sigma_opt import BaselineConfig, SigmaConfig, load_libsvm
+from sigma_opt import (
+    BaselineConfig,
+    Regularization,
+    SigmaConfig,
+    feasible_start,
+    load_libsvm,
+    make_objective,
+)
 from sigma_opt.cli import TRACE_HEADER, cli
 from sigma_opt.solver import EXACT_MARGINS_EVERY
 
@@ -148,6 +155,63 @@ class TestSolve:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "final_grad_norm_unscaled" in summary
         assert summary["poisson_scale"] > 1
+
+    def test_no_data_exit_1(self, runner, tmp_path):
+        res = runner.invoke(cli, ["solve", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "--data is required" in res.output
+
+    def test_csv_with_label_column(self, runner, tmp_path):
+        gen = np.random.default_rng(3)
+        A = gen.standard_normal((30, 4))
+        b = A @ gen.standard_normal(4)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([b, A]), delimiter=",", header="y,f1,f2,f3,f4",
+                   comments="")
+        res = runner.invoke(cli, ["solve", "--model", "gaussian", "--data", str(path),
+                                  "--label-column", "0", "--solver", "newton",
+                                  "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        meta = summary["config"]["data_meta"]
+        assert (meta["m"], meta["N"]) == (30, 4)
+        assert summary["final_f"] < 1e-20  # b lies in the span of A
+
+
+def _mixed_sign_poisson_file(runner, tmp_path):
+    """A Haar-random Poisson dataset written by ``datagen``: its row sums have
+    mixed signs, so the all-ones start fails, and m <= 2N keeps its domain
+    nonempty."""
+    out = tmp_path / "ds"
+    res = runner.invoke(cli, ["datagen", "--m", "50", "--N", "30", "--p", "5",
+                              "--labels", "poisson", "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    sums = load_libsvm(out / "data.libsvm").A.sum(axis=1)
+    assert sums.min() < 0 < sums.max()
+    return out / "data.libsvm"
+
+
+class TestPoissonFileStart:
+    def _solve(self, runner, path, out, extra=()):
+        return runner.invoke(cli, ["solve", "--model", "poisson", "--data", str(path), "--n", "15",
+                                   "--xi2", "1e-6", "--max-iter", "20", "--out", str(out), *extra])
+
+    def test_starts_at_the_positive_margin_search(self, runner, tmp_path):
+        path = _mixed_sign_poisson_file(runner, tmp_path)
+        res = self._solve(runner, path, tmp_path / "o")
+        assert res.exit_code in (0, 2), res.output
+        model = make_objective("poisson", load_libsvm(path), Regularization(xi2=1e-6))
+        x0 = feasible_start(model)
+        assert model.predict(x0).min() > 0
+        first = (tmp_path / "o" / "trace.csv").read_text().splitlines()[1].split(",")
+        assert float(first[2]) == model.evaluate(x0)
+
+    def test_standardized_file_has_no_start(self, runner, tmp_path):
+        # a column-centred A has 1^T A x = 0 for every x: no margin vector is positive
+        path = _mixed_sign_poisson_file(runner, tmp_path)
+        res = self._solve(runner, path, tmp_path / "o", ["--standardize"])
+        assert res.exit_code == 1
+        assert "the domain {x : A x > 0} is empty" in res.output
 
 
 class TestBench:

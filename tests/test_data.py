@@ -25,7 +25,7 @@ from sigma_opt import (
     synth_labels,
     write_libsvm,
 )
-from sigma_opt import data
+from sigma_opt import data, objectives
 from sigma_opt.core import haar_frame
 from sigma_opt.data import singular_value_bands
 from sigma_opt.errors import (
@@ -381,15 +381,20 @@ class TestSynthLabels:
 
 def _one_lstsq_per_try(A, gen, tries):
     """The search with an exact least-squares solve on every try: the
-    reference for the screened search in ``data._positive_margin_vector``."""
+    reference for the screened search in ``objectives._positive_margin_vector``,
+    rescaled as it rescales."""
     m = A.shape[0]
     u = np.ones(m)
     for _ in range(tries):
         x, *_ = np.linalg.lstsq(A, u, rcond=None)
         if float((A @ x).min()) > 0:
-            return x
+            break
         u = 1.0 + np.abs(gen.standard_normal(m))
-    return data._max_min_margin(A)
+    else:
+        x = objectives._max_min_margin(A)
+        if x is None:
+            return None
+    return x * (objectives._MEAN_MARGIN / float((A @ x).mean()))
 
 
 def _gap_draw(m, N, p, seed):
@@ -440,7 +445,7 @@ class TestPositiveMarginSearch:
         A, make_gen = MARGIN_CASES[case]()
         gen_ref, gen = make_gen(), make_gen()
         want = _one_lstsq_per_try(A, gen_ref, 100)
-        got = data._positive_margin_vector(A, gen, 100)
+        got = objectives._positive_margin_vector(A, gen, 100)
         if want is None:
             assert got is None
         else:

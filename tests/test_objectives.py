@@ -222,10 +222,18 @@ class TestFeasibleStart:
         with pytest.raises(NoFeasibleStart):
             feasible_start(model)
 
-    def test_mixed_sign_row_sums_fail(self):
+    def test_mixed_sign_row_sums_search(self):
+        # the all-ones direction fails; least squares against all ones gives
+        # (1, 10), rescaled to margins (5, 5)
         A = np.array([[1.0, 0.0], [-1.0, 0.2]])
         model = make_objective("poisson", Dataset(A, np.array([1.0, 1.0])))
-        with pytest.raises(NoFeasibleStart):
+        assert feasible_start(model).tolist() == [5.0, 50.0]
+
+    def test_empty_domain_fails(self):
+        # the matrix above stacked over its negation
+        A = np.array([[1.0, 0.0], [-1.0, 0.2], [-1.0, 0.0], [1.0, -0.2]])
+        model = make_objective("poisson", Dataset(A, np.ones(4)))
+        with pytest.raises(NoFeasibleStart, match="empty"):
             feasible_start(model)
 
     def test_all_negative_row_sums(self):

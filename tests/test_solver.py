@@ -202,6 +202,16 @@ class TestArmijo:
         assert t < 1.0
         assert model.evaluate(x + t * d) <= model.evaluate(x)
 
+    def test_gives_up_after_60_reductions(self):
+        # an ascent direction with a claimed negative slope: no step passes
+        model = one_dim_quadratic()
+        ray = Ray(model.point(np.array([2.0])), np.array([2.0]))
+        calls, delta = [], ray.delta
+        ray.delta = lambda t: calls.append(t) or delta(t)
+        with pytest.raises(LineSearchFailed, match="after 60 reductions"):
+            armijo_search(ray, -4.0, 1.0, 0.25, 0.5)
+        assert len(calls) == 61
+
     def test_zero_initial_step_rejected(self):
         # poisson_feasible_step gives t0 = 0 at an infinite decrement; the zero
         # step passes the descent test trivially and the iterate would repeat

@@ -20,7 +20,9 @@ whatever its layout. Then come the loader lines, the sha256 of ``A`` and ``b``
 as loaded: ``load_libsvm`` on a ``write_libsvm`` file of a generated 2000 x
 500 matrix, on 20000 lines of one entry each and on a file with a tab in one
 line, which the token parser reads, and ``load_csv`` on a 200 x 51 file
-with a header.
+with a header. Last come the start lines: the sha256 of ``feasible_start``'s
+point on a Haar-random Poisson draw whose row sums have mixed signs, which
+the positive-margin search decides, and a SIGMA run from that point.
 
 BLAS is pinned to one thread before numpy loads: with more threads the
 order of BLAS reductions, and so the low bits of a trace, may change.
@@ -155,6 +157,26 @@ def runs(libsvm):
     yield "load_libsvm-2000x500-newsamp", so.baseline_solve, model, so.feasible_start(model), cfg
 
 
+def searched():
+    """``(name, compute)`` for each start line: ``compute()`` gives the line's
+    digest. The draw is 50 x 30, so ``m <= 2N`` keeps its domain nonempty."""
+    A = so.svd_gap_matrix(so.SvdGapSpec(m=50, N=30, p=6, gap=30.0, seed=51), so.RngState(51))
+    b, _ = so.synth_labels(A, so.LabelSpec("poisson", seed=52), so.RngState(52))
+    model = so.make_objective("poisson", so.Dataset(A, b), so.Regularization(xi2=1e-6))
+    cfg = so.SigmaConfig(n=15, seed=3, epsilon=1e-12, max_iter=40)
+    yield ("poisson-haar50x30-feasible_start",
+           lambda: hashlib.sha256(so.feasible_start(model).tobytes()).hexdigest())
+    yield ("poisson-haar50x30-sigma",
+           lambda: digest(so.sigma_solve(model, so.feasible_start(model), cfg)))
+
+
+def _line(compute) -> str:
+    try:
+        return compute()
+    except Exception as exc:  # an escape shows as one line, not a traceback
+        return f"raised {type(exc).__name__}"
+
+
 def main():
     # the shifted Cholesky of the unregularized wide runs warns every iteration
     logging.getLogger("sigma_opt").setLevel(logging.ERROR)
@@ -170,11 +192,9 @@ def main():
         print(name, h.hexdigest(), flush=True)
         loads[name] = ds
     for name, solve, model, x0, cfg in runs(loads["load_libsvm-2000x500"]):
-        try:
-            line = digest(solve(model, x0, cfg))
-        except Exception as exc:  # an escape shows as one line, not a traceback
-            line = f"raised {type(exc).__name__}"
-        print(name, line, flush=True)
+        print(name, _line(lambda: digest(solve(model, x0, cfg))), flush=True)
+    for name, compute in searched():
+        print(name, _line(compute), flush=True)
 
 
 if __name__ == "__main__":
