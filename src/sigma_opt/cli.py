@@ -26,7 +26,6 @@ import yaml
 from . import baselines, solver
 from . import data as data_mod
 from .baselines import METHODS, BaselineConfig
-from .data import _fmt
 from .objectives import (
     GAUSSIAN,
     KINDS,
@@ -44,6 +43,10 @@ TRACE_HEADER = "iter,elapsed_s,f,grad_norm,lambda_hat,lambda,step,direction,back
 _SAFE_NAME = str.maketrans({"/": "_", "[": "_", "]": None, "=": None})
 
 SOLVERS = ("sigma",) + METHODS
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
 
 
 def write_trace(path, trace) -> None:
@@ -90,6 +93,10 @@ def _synthetic(m, N, p, gap, labels, noise, seed):
 
 def _build_dataset(p: dict):
     """Returns (Dataset, x_true or None, data_meta dict)."""
+    if p["standardize"] and p["model"] == POISSON:
+        raise click.ClickException("--standardize cannot be combined with --model poisson: a "
+                                   "column-centred A has 1^T A x = 0 for every x, so the "
+                                   "domain {x : A x > 0} is empty")
     src = p["data"]
     if src is None:
         raise click.ClickException("--data is required (a file path or 'synthetic')")

@@ -35,6 +35,8 @@ from .rng import RngState
 
 logger = logging.getLogger(__name__)
 _OVERLAP_MIN_K = 200  # svd_gap_matrix factors its frames concurrently from this k on
+_IN_PLACE_MIN_N = 256  # svd_gap_matrix writes A into U when m >= N >= this; shortest row block
+_ROW_BLOCK = 512  # rows per block of that write; every block starts at a multiple of it
 _PARSE_CHUNK_BYTES = 1 << 20  # load_libsvm reads canonical lines in chunks of about this much text
 
 
@@ -93,9 +95,20 @@ def svd_gap_matrix(spec: SvdGapSpec, rng: RngState) -> np.ndarray:
     generated; the distribution of ``A`` is unchanged and the cost drops from
     O(m^3) to O(m k^2). The frames are built in place (:func:`haar_frame`),
     ``U`` is scaled by ``S`` in place, and ``A`` is returned column-major
-    (Fortran order), the transpose of the row-major product ``V (U S)^T``, so
-    no full-size temporary is made: the peak is about ``U + V + A``, i.e.
-    ``8 (m k + N k + m N)`` bytes.
+    (Fortran order), the transpose of the row-major product ``V (U S)^T``.
+
+    When ``m >= N >= 256`` and ``m`` is a multiple of 8, ``k = N`` and ``U``
+    has ``A``'s shape and layout, so ``A`` is written into ``U``'s buffer in
+    row blocks, ``U[r:e] = (V @ U[r:e].T).T`` (:func:`_row_blocks`), and the
+    peak is ``U + V`` plus one block of at most 767 rows,
+    ``8 (m k + N k + 767 N)`` bytes. Every other shape forms ``(V @ U.T).T``
+    whole, with the peak ``U + V + A``, ``8 (m k + N k + m N)`` bytes. The
+    blocks keep the bits of the whole product, compared entry by entry at
+    one to four BLAS threads. Shorter or narrower blocks, or a 1-row tail
+    (which numpy sends to gemv), changed entries at one thread; and when
+    ``m`` is not a multiple of 8 its last ``m mod 8`` rows changed at two to
+    four threads unless the last block was split across the threads as the
+    whole product is, which depends on the thread count.
 
     When ``OPENBLAS_NUM_THREADS`` is ``"1"`` (read at call time) and ``k`` is
     at least 200, ``U`` is factored on one helper thread while this thread
@@ -120,7 +133,23 @@ def svd_gap_matrix(spec: SvdGapSpec, rng: RngState) -> np.ndarray:
             V = haar_frame(spec.N, k, gen_v)
             U = u_job.result()
     U *= sv
-    return (V @ U.T).T
+    if spec.m % 8 or not spec.m >= spec.N >= _IN_PLACE_MIN_N:
+        return (V @ U.T).T
+    # k = N, so U has A's shape and layout: A overwrites U block by block
+    for r, e in _row_blocks(spec.m):
+        U[r:e] = (V @ U[r:e].T).T
+    return U
+
+
+def _row_blocks(m):
+    """``(start, end)`` of the row blocks in which :func:`svd_gap_matrix`
+    writes ``A`` into ``U``: ``_ROW_BLOCK`` rows each, starting at multiples
+    of it, with a remainder shorter than ``_IN_PLACE_MIN_N`` rows joined to
+    the last block."""
+    edges = [*range(0, m, _ROW_BLOCK), m]
+    if len(edges) > 2 and m - edges[-2] < _IN_PLACE_MIN_N:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
 
 
 def synth_labels(A: np.ndarray, spec: LabelSpec, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +190,9 @@ def standardize(ds: Dataset) -> Dataset:
     mean = ds.A.mean(axis=0)
     std = ds.A.std(axis=0)  # population convention (divisor m)
     scale = np.where(std < 1e-12, 1.0, std)
-    return Dataset((ds.A - mean) / scale, ds.b)
+    out = ds.A - mean  # scaled in place: one A-sized array, the same bits as (A - mean) / scale
+    out /= scale
+    return Dataset(out, ds.b)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +357,10 @@ def _libsvm_tokens(path):
 def write_libsvm(ds: Dataset, path) -> None:
     """Write a dataset in libsvm format (zero entries are omitted)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(ds.m):
-            parts = [_fmt(ds.b[i])]
-            row = ds.A[i]
-            for j in np.nonzero(row)[0]:
-                parts.append(f"{j + 1}:{_fmt(row[j])}")
-            fh.write(" ".join(parts) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+        for label, row in zip(ds.b.tolist(), ds.A):
+            cols = np.flatnonzero(row)
+            fh.write(" ".join([repr(label), *map("{}:{!r}".format, (cols + 1).tolist(),
+                                                 row[cols].tolist())]) + "\n")
 
 
 def load_csv(path, label_column="last") -> Dataset:

@@ -52,7 +52,7 @@ class Dataset:
             raise InvalidDimensions(
                 f"b length {self.b.shape} does not match {self.A.shape[0]} rows"
             )
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+        if not (_all_finite(self.A) and _all_finite(self.b)):
             raise DomainError("dataset contains NaN or Inf")
 
     @property
@@ -62,6 +62,13 @@ class Dataset:
     @property
     def N(self) -> int:
         return self.A.shape[1]
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite, without a mask the size of
+    ``x``: the minimum and maximum both propagate NaN, and an infinity of
+    either sign is one of them. An empty ``x`` is finite."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from sigma_opt import (
     load_libsvm,
     make_objective,
 )
+from sigma_opt import data as data_mod
 from sigma_opt.cli import TRACE_HEADER, cli
 from sigma_opt.solver import EXACT_MARGINS_EVERY
 
@@ -212,6 +213,32 @@ class TestPoissonFileStart:
         res = self._solve(runner, path, tmp_path / "o", ["--standardize"])
         assert res.exit_code == 1
         assert "the domain {x : A x > 0} is empty" in res.output
+
+    def test_standardize_rejected_before_the_file_is_read(self, runner, tmp_path, monkeypatch):
+        path = _mixed_sign_poisson_file(runner, tmp_path)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("load_libsvm called")
+
+        monkeypatch.setattr(data_mod, "load_libsvm", unread)
+        res = self._solve(runner, path, tmp_path / "o", ["--standardize"])
+        assert res.exit_code == 1
+        assert "--standardize cannot be combined with --model poisson" in res.output
+        assert "the domain {x : A x > 0} is empty" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_entries_reject_standardized_poisson(self, runner, tmp_path, monkeypatch):
+        def ungenerated(*args, **kwargs):
+            raise AssertionError("svd_gap_matrix called")
+
+        monkeypatch.setattr(data_mod, "svd_gap_matrix", ungenerated)
+        res = runner.invoke(cli, ["bench", "--model", "poisson", "--data", "synthetic",
+                                  "--m", "40", "--N", "30", "--p", "5", "--standardize",
+                                  "--solvers", "sigma,gd", "--out", str(tmp_path / "b")])
+        assert res.exit_code == 1
+        summaries = json.loads((tmp_path / "b" / "bench_summary.json").read_text())
+        assert [s["status"] for s in summaries] == ["error", "error"]
+        assert all("the domain {x : A x > 0} is empty" in s["message"] for s in summaries)
 
 
 class TestBench:

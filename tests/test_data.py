@@ -1,5 +1,9 @@
 import hashlib
+import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -117,6 +121,21 @@ class TestLibsvm:
         assert np.array_equal(back.A, ds.A)
         assert np.array_equal(back.b, ds.b)
 
+    def test_writes_the_per_entry_format(self, tmp_path, gen):
+        A = gen.standard_normal((30, 8))
+        A[gen.random(A.shape) < 0.4] = 0.0
+        A[0, :3] = [1e-300, 1e300, -1e300]
+        A[1] = 0.0
+        b = np.round(5 * gen.standard_normal(30))
+        p = tmp_path / "w.libsvm"
+        write_libsvm(Dataset(A, b), p)
+        lines = []
+        for i in range(30):
+            parts = [repr(float(b[i]))]
+            parts += [f"{j + 1}:{float(A[i, j])!r}" for j in np.nonzero(A[i])[0]]
+            lines.append(" ".join(parts) + "\n")
+        assert p.read_text() == "".join(lines)
+
     def test_round_trip_counts(self, tmp_path, gen):
         A = np.abs(gen.standard_normal((6, 3))) + 0.5
         b = np.array([1.0, 2, 3, 1, 5, 2])
@@ -204,6 +223,40 @@ class TestCsv:
         assert np.array_equal(ds.A, np.delete(X, 5, axis=1)) and ds.A.flags.f_contiguous
         assert np.array_equal(ds.b, X[:, 5])
         assert peak <= 3 * ds.A.nbytes
+
+
+# svd_gap_matrix writes A into U in row blocks when m >= N >= 256 and m is a
+# multiple of 8: 1200 joins its 176-row remainder to the last block, 1032 its
+# 8 rows; 1296 and 2040 end in a block of their own; 504 rows are one block;
+# 1296 x 1000 ends in a block with fewer rows than N. The rest form the
+# product whole: m is not a multiple of 8, N < 256 or m < N.
+_IN_PLACE_SHAPES = [(1200, 300), (1032, 256), (1296, 300), (2040, 257), (504, 300), (1296, 1000),
+                    (1300, 300), (513, 300), (300, 300), (1030, 256), (2047, 257), (600, 60),
+                    (50, 400)]
+
+_REFERENCE_PROBE = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from helpers import reference_haar_frame
+from sigma_opt import RngState, SvdGapSpec, svd_gap_matrix
+from sigma_opt.data import singular_value_bands
+differ = []
+for m, N in json.loads(sys.argv[2]):
+    spec = SvdGapSpec(m=m, N=N, p=5, gap=30.0, seed=10)
+    sv = singular_value_bands(spec)
+    rng = RngState(10)
+    U = reference_haar_frame(m, sv.shape[0], rng.child())
+    V = reference_haar_frame(N, sv.shape[0], rng.child())
+    reference = (V @ (U * sv).T).T
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # the frames overlap
+    if not np.array_equal(svd_gap_matrix(spec, RngState(10)), reference):
+        differ.append([m, N, "pinned"])
+    del os.environ["OPENBLAS_NUM_THREADS"]  # one after the other; BLAS keeps one thread
+    if not np.array_equal(svd_gap_matrix(spec, RngState(10)), reference):
+        differ.append([m, N, "unpinned"])
+print(json.dumps(differ))
+"""
 
 
 class TestSvdGap:
@@ -339,6 +392,62 @@ class TestSvdGap:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (m * k + N * k + m * N) + (1 << 20)
+
+    @pytest.mark.parametrize(("m", "N"), _IN_PLACE_SHAPES)
+    def test_in_place_product_keeps_bits(self, m, N, monkeypatch):
+        # the row blocks give the bits of the whole product of the same
+        # frames, at this process's BLAS thread count, on both sides of the
+        # frames' overlap switch
+        spec = SvdGapSpec(m=m, N=N, p=5, gap=30.0, seed=10)
+        sv = singular_value_bands(spec)
+        rng = RngState(10)
+        U = haar_frame(m, sv.shape[0], rng.child())
+        V = haar_frame(N, sv.shape[0], rng.child())
+        U *= sv
+        whole = (V @ U.T).T
+        for pinned in (True, False):
+            if pinned:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            else:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            A = svd_gap_matrix(spec, RngState(10))
+            assert A.flags.f_contiguous
+            assert np.array_equal(A, whole)
+
+    def test_in_place_product_matches_reference_frames(self):
+        # at one BLAS thread the frames are numpy's QR of the same draws (at
+        # two threads the QR's own bits differ), so A is the reference product
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        res = subprocess.run([sys.executable, "-c", _REFERENCE_PROBE, str(Path(__file__).parent),
+                              json.dumps(_IN_PLACE_SHAPES)], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
+
+    def test_row_blocks(self):
+        assert list(data._row_blocks(1200)) == [(0, 512), (512, 1200)]
+        assert list(data._row_blocks(1296)) == [(0, 512), (512, 1024), (1024, 1296)]
+        assert list(data._row_blocks(1032)) == [(0, 512), (512, 1032)]
+        assert list(data._row_blocks(504)) == [(0, 504)]
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_peak_memory_is_frames_plus_one_block(self, pinned, monkeypatch):
+        # A is written into U: the frames U (m x k) and V (N x k), one block
+        # of at most 767 rows of the product and 1 MiB for the draw block and
+        # the LAPACK workspace
+        if pinned:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        else:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        m, N = 2000, 1000
+        k = min(m, N)
+        tracemalloc.start()
+        try:
+            svd_gap_matrix(SvdGapSpec(m=m, N=N, p=100), RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (m * k + N * k) + 8 * N * 767 + (1 << 20)
 
     def test_validation(self):
         with pytest.raises(InvalidDimensions):
@@ -495,6 +604,26 @@ class TestStandardize:
     def test_needs_two_rows(self):
         with pytest.raises(InvalidDimensions):
             standardize(Dataset(np.ones((1, 2)), np.zeros(1)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_match_reference_expression(self, order, gen):
+        A = np.asarray(3.0 + 2.0 * gen.standard_normal((40, 5)), order=order)
+        A[:, 2] = 7.25  # std < 1e-12: centred, not scaled
+        ds = Dataset(A, np.zeros(40))
+        mean, std = A.mean(axis=0), A.std(axis=0)
+        out = standardize(ds).A
+        assert np.array_equal(out, (A - mean) / np.where(std < 1e-12, 1.0, std))
+        assert out.flags.c_contiguous if order == "C" else out.flags.f_contiguous
+
+    def test_peak_memory_is_one_matrix(self, gen):
+        ds = Dataset(np.asfortranarray(gen.standard_normal((2000, 300))), np.zeros(2000))
+        tracemalloc.start()
+        try:
+            standardize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.A.nbytes + (1 << 20)
 
 
 def test_synthetic_poisson_pipeline_builds_model(gen):

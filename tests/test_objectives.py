@@ -32,6 +32,32 @@ class TestDatasetLayout:
         assert np.array_equal(ds.A, A)
 
 
+class TestDatasetFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_non_finite_entry_rejected(self, bad, layout, gen):
+        A = gen.standard_normal((6, 8))
+        if layout == "strided":
+            A = A[:, ::2]
+        else:
+            A = np.asarray(A, order=layout)
+        A[4, 3] = bad
+        with pytest.raises(DomainError, match="dataset contains NaN or Inf"):
+            Dataset(A, np.zeros(6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        b = np.zeros(6)
+        b[2] = bad
+        with pytest.raises(DomainError, match="dataset contains NaN or Inf"):
+            Dataset(np.ones((6, 2)), b)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_accepted(self, shape):
+        ds = Dataset(np.zeros(shape), np.zeros(shape[0]))
+        assert ds.A.shape == shape
+
+
 class TestPoissonScale:
     def test_single_unit_count(self):
         assert poisson_scale(np.array([1.0]), 1) == pytest.approx(1.0)

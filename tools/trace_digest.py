@@ -14,7 +14,10 @@ an SGD run whose last iterate's exact Poisson margins leave the domain,
 and NewSamp at the cli-libsvm benchmark's shape (logistic, ``xi2`` 1e-4,
 default rows and rank, 10 iterations) on the loaded 2000 x 500 file.
 Before the runs come the generator lines: the sha256 of one ``haar_frame``
-and of ``svd_gap_matrix`` for a tall, a square and a wide spec and at the
+and of ``svd_gap_matrix`` for a tall, a square and a wide spec, for
+1200 x 300 and 2040 x 257 (written into ``U`` in row blocks, the first with
+its remainder joined to the last block, the second with a tail block of its
+own), for 2047 x 257 (``m`` not a multiple of 8, formed whole) and at the
 logistic-tall benchmark's 4000 x 2000, each hashed in row-major order
 whatever its layout. Then come the loader lines, the sha256 of ``A`` and ``b``
 as loaded: ``load_libsvm`` on a ``write_libsvm`` file of a generated 2000 x
@@ -68,7 +71,7 @@ def digest(result) -> str:
 def generated():
     """``(name, array)`` for each generator line."""
     yield "haar_frame-500x200", haar_frame(500, 200, so.RngState(31).child())
-    for m, N in ((600, 300), (300, 300), (50, 2000)):
+    for m, N in ((600, 300), (300, 300), (50, 2000), (1200, 300), (2040, 257), (2047, 257)):
         spec = so.SvdGapSpec(m=m, N=N, p=max(1, min(m, N) // 5), gap=30.0, seed=m + N)
         yield f"svd_gap_matrix-{m}x{N}", so.svd_gap_matrix(spec, so.RngState(m + N))
     # the logistic-tall benchmark's matrix
