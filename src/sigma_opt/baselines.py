@@ -57,7 +57,7 @@ class BaselineConfig(SolveConfig):
     sgd_gamma: float = 1e-6
     batch: int = 1
     rows: Optional[int] = None  # row-sample size for subnewton/newsamp; default m/2
-    rank: Optional[int] = None  # newsamp truncation rank; default N/10
+    rank: Optional[int] = None  # newsamp truncation rank; default max(1, N/10), capped at N - 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -137,7 +137,7 @@ def baseline_solve(model: ObjectiveModel, x0: np.ndarray, cfg: BaselineConfig) -
     rows_size = cfg.rows if cfg.rows is not None else max(1, m // 2)
     if rows_size > m:
         raise InvalidDimensions(f"rows={rows_size} exceeds m={m}")
-    rank = cfg.rank if cfg.rank is not None else max(1, N // 10)
+    rank = cfg.rank if cfg.rank is not None else min(max(1, N // 10), N - 1)
     rng = RngState(cfg.seed)
 
     def sample(size):

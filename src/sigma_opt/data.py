@@ -207,10 +207,16 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     it must be positive. Labels are kept as written: only
     :func:`~sigma_opt.objectives.make_objective` interprets them.
     """
-    chunks = _libsvm_fast(path)
-    if isinstance(chunks, int):
-        logger.debug("%s: line %d is not canonical; parsing token by token", path, chunks)
-        chunks = _libsvm_tokens(path)
+    chunks = []
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2.3: else a short array
+        for chunk in _line_chunks(fh):
+            parsed = _libsvm_fast(chunk)
+            if isinstance(parsed, int):
+                logger.debug("%s: line %d is not canonical; parsing its chunk token by token",
+                             path, parsed)
+                parsed = _libsvm_tokens(chunk)
+            chunks.append(parsed)
     m = sum(chunk[0].size for chunk in chunks)
     if not m:
         raise ParseError(f"{path}: no data lines")
@@ -229,51 +235,50 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     return Dataset(A, b)
 
 
-def _libsvm_fast(path):
-    """The file's numbers as a list of ``(labels, counts, cols, vals)`` chunks,
-    or the number of its first line that is not canonical (README, "libsvm
-    input").
+def _line_chunks(fh):
+    """Yield ``(text, linenos, counts, bad)`` for each run of about
+    ``_PARSE_CHUNK_BYTES`` of the file's stripped lines, blank and ``#``
+    lines skipped: one UTF-8 line of ``text`` each, their numbers, each
+    line's ``:`` count, and the first line that fails the byte checks
+    (README, "libsvm input"), or None. That line starts a new chunk.
 
-    A chunk holds about ``_PARSE_CHUNK_BYTES`` of canonical lines, read with one
-    ``np.fromstring``: their labels, each line's entry count, and each entry's
-    0-based column (int32) and value.
+    On a decode error the lines read so far are yielded first, so an error
+    on one of them is raised ahead of it.
     """
-    chunks = []
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2.3: else a short array
-        for pending in _canonical_lines(fh):
-            chunk = pending if isinstance(pending, int) else _parse_chunk(*pending)
-            if isinstance(chunk, int):
-                return chunk
-            chunks.append(chunk)
-    return chunks
-
-
-def _canonical_lines(fh):
-    """Yield ``(text, linenos, counts)`` for each run of about
-    ``_PARSE_CHUNK_BYTES`` of lines that pass the byte checks, one line of
-    ``text`` each, then the number of the first line that fails them, if any."""
     to_nul = bytes.maketrans(bytes(range(32)) + b"\x7f(", bytes(34))  # controls, "(" of nan(...)
     text, linenos, counts, bad = bytearray(), array("q"), array("q"), None
-    for lineno, line in enumerate(map(bytes.strip, fh), start=1):
-        if line[:1] in (b"", b"#") and line.isascii() and b"\r" not in line:
-            continue
-        rest, nnz = line.translate(to_nul, b"0123456789"), line.count(b":")
-        if (not line.isascii() or b"\0" in rest or rest.count(b" ") != nnz
-                or rest.count(b" :") != nnz):
-            bad = lineno
-            break
-        text += line
-        text += b"\n"
-        linenos.append(lineno)
-        counts.append(nnz)
-        if len(text) >= _PARSE_CHUNK_BYTES:
-            yield bytes(text), linenos, counts
-            text, linenos, counts = bytearray(), array("q"), array("q")
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            line = line.encode()
+            rest, nnz = line.translate(to_nul, b"0123456789"), line.count(b":")
+            fails = (not line.isascii() or b"\0" in rest or rest.count(b" ") != nnz
+                     or rest.count(b" :") != nnz)
+            if len(text) >= _PARSE_CHUNK_BYTES or (fails and bad is None and linenos):
+                yield bytes(text), linenos, counts, bad
+                text, linenos, counts, bad = bytearray(), array("q"), array("q"), None
+            if fails and bad is None:
+                bad = lineno
+            text += line + b"\n"
+            linenos.append(lineno)
+            counts.append(nnz)
+    except UnicodeDecodeError:
+        if linenos:
+            yield bytes(text), linenos, counts, bad
+        raise
     if linenos:
-        yield bytes(text), linenos, counts
-    if bad is not None:
-        yield bad
+        yield bytes(text), linenos, counts, bad
+
+
+def _libsvm_fast(chunk):
+    """A chunk's numbers as ``(labels, counts, cols, vals)``, read with one
+    ``np.fromstring``: its labels, each line's entry count, and each entry's
+    0-based column (int32) and value. Or the number of its first line that
+    is not canonical."""
+    text, linenos, counts, bad = chunk
+    return bad if bad is not None else _parse_chunk(text, linenos, counts)
 
 
 def _parse_chunk(text, linenos, counts):
@@ -308,50 +313,37 @@ def _parse_chunk(text, linenos, counts):
     return nums[heads], counts, (idx - 1).astype(np.int32), vals.copy()
 
 
-def _libsvm_tokens(path):
-    """The reference parser, token by token, raising each parse error with its
-    line. Returns the file's numbers as :func:`_libsvm_fast` does, in chunks
-    of about ``_PARSE_CHUNK_BYTES`` of lines, with int64 columns: each line's
-    numbers are appended to typed arrays, not kept as Python objects.
-    """
-    chunks, size = [], 0
+def _libsvm_tokens(chunk):
+    """The reference parser: a chunk's numbers as :func:`_libsvm_fast` reads
+    them, with int64 columns, read token by token with ``str.split()``,
+    ``float()`` and ``int()``, raising each parse error with its line."""
     labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            size += len(line)
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
+    for lineno, line in zip(chunk[1], chunk[0].decode().split("\n")):
+        tokens = line.split()
+        try:
+            labels.append(float(tokens[0]))
+        except ValueError as exc:
+            raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from exc
+        prev = 0
+        for tok in tokens[1:]:
             try:
-                labels.append(float(tokens[0]))
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
             except ValueError as exc:
-                raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from exc
-            prev = 0
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise ParseError(f"bad feature token {tok!r}", line=lineno) from exc
-                if idx < 1:
-                    raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
-                if idx >= 2**63:
-                    raise ParseError(f"index {idx} does not fit in int64", line=lineno)
-                if idx <= prev:
-                    raise NonAscendingIndexError(f"index {idx} not ascending (previous {prev})",
-                                                 line=lineno)
-                prev = idx
-                cols.append(idx - 1)
-                vals.append(val)
-            counts.append(len(tokens) - 1)
-            if size >= _PARSE_CHUNK_BYTES:
-                chunks.append((labels, counts, cols, vals))
-                labels, counts, cols, vals, size = array("d"), array("q"), array("q"), array("d"), 0
-    if labels:
-        chunks.append((labels, counts, cols, vals))
-    return [tuple(np.frombuffer(a, dtype=a.typecode) for a in chunk) for chunk in chunks]
+                raise ParseError(f"bad feature token {tok!r}", line=lineno) from exc
+            if idx < 1:
+                raise ParseError(f"indices are 1-based, got {idx}", line=lineno)
+            if idx >= 2**63:
+                raise ParseError(f"index {idx} does not fit in int64", line=lineno)
+            if idx <= prev:
+                raise NonAscendingIndexError(f"index {idx} not ascending (previous {prev})",
+                                             line=lineno)
+            prev = idx
+            cols.append(idx - 1)
+            vals.append(val)
+        counts.append(len(tokens) - 1)
+    return tuple(np.frombuffer(a, dtype=a.typecode) for a in (labels, counts, cols, vals))
 
 
 def write_libsvm(ds: Dataset, path) -> None:
@@ -366,10 +358,11 @@ def write_libsvm(ds: Dataset, path) -> None:
 def load_csv(path, label_column="last") -> Dataset:
     """Rectangular numeric CSV with an optional header row.
 
-    ``label_column`` is a 0-based column index or ``"last"``. The header is
-    auto-detected: a first row with any non-numeric cell is skipped. ``A`` is
-    column-major. A first pass counts the rows; the second converts each row
-    as it reads it, straight into ``A`` and ``b``.
+    ``label_column`` is a 0-based column index or ``"last"``; at least one
+    other column must be left for the features. The header is auto-detected:
+    a first row with any non-numeric cell is skipped. ``A`` is column-major.
+    A first pass counts the rows; the second converts each row as it reads
+    it, straight into ``A`` and ``b``. An error's line is the file's line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = filter(None, _csv.reader(fh))
@@ -381,23 +374,23 @@ def load_csv(path, label_column="last") -> Dataset:
     if start == m:
         raise ParseError(f"{path}: header only, no data rows")
     width = len(head[start])
+    if width < 2:
+        raise InvalidDimensions(f"{path}: no features (N = {width - 1})")
     col = width - 1 if label_column == "last" else int(label_column)
+    if not 0 <= col < width:
+        raise InvalidDimensions(f"label column {col} out of range for width {width}")
     A, b = np.empty((m - start, width - 1), order="F"), np.empty(m - start)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line, rec in enumerate(filter(None, _csv.reader(fh)), start=1):
-            if line <= start:
-                continue
+        reader = _csv.reader(fh)
+        for i, rec in enumerate(itertools.islice(filter(None, reader), start, None)):
             if len(rec) != width:
-                raise RaggedRows(f"expected {width} fields, got {len(rec)}", line=line)
+                raise RaggedRows(f"expected {width} fields, got {len(rec)}", line=reader.line_num)
             try:
                 row = [float(tok) for tok in rec]
             except ValueError as exc:
-                raise ParseError(f"non-numeric value in {rec}", line=line) from exc
-            if 0 <= col < width:
-                b[line - start - 1] = row.pop(col)
-                A[line - start - 1] = row
-    if not 0 <= col < width:
-        raise InvalidDimensions(f"label column {col} out of range for width {width}")
+                raise ParseError(f"non-numeric value in {rec}", line=reader.line_num) from exc
+            b[i] = row.pop(col)
+            A[i] = row
     return Dataset(A, b)
 
 

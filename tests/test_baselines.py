@@ -261,6 +261,13 @@ class TestNewsampSolve:
         assert [r.direction for r in res.trace] == ["fine"]
         assert "(rank+1)-th eigenvalue" in res.message
 
+    def test_default_rank_at_one_feature(self, gen):
+        # the default rank max(1, N // 10) is capped at N - 1: 0 at N = 1
+        model = random_gaussian_model(gen, m=20, N=1)
+        res = baseline_solve(model, np.zeros(1),
+                             BaselineConfig(method="newsamp", epsilon=1e-12, seed=0))
+        assert res.status == "converged"
+
     def test_factors_no_matrix(self, gen, monkeypatch):
         # the step is applied in closed form: no Cholesky of any matrix
         def forbidden(*args, **kwargs):

@@ -10,11 +10,14 @@ from click.testing import CliRunner
 
 from sigma_opt import (
     BaselineConfig,
+    Dataset,
     Regularization,
     SigmaConfig,
+    baseline_solve,
     feasible_start,
     load_libsvm,
     make_objective,
+    write_libsvm,
 )
 from sigma_opt import data as data_mod
 from sigma_opt.cli import TRACE_HEADER, cli
@@ -178,6 +181,28 @@ class TestSolve:
         assert (meta["m"], meta["N"]) == (30, 4)
         assert summary["final_f"] < 1e-20  # b lies in the span of A
 
+
+    def test_standardized_file(self, runner, tmp_path):
+        gen = np.random.default_rng(4)
+        A = 3.0 + gen.standard_normal((40, 5))
+        path = tmp_path / "d.libsvm"
+        write_libsvm(Dataset(A, A @ gen.standard_normal(5) + 1.0), path)
+        res = runner.invoke(cli, ["solve", "--model", "gaussian", "--data", str(path),
+                                  "--solver", "newton", "--xi2", "1e-6", "--max-iter", "1",
+                                  "--standardize", "--out", str(tmp_path / "o")])
+        assert res.exit_code in (0, 2), res.output
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["config"]["data_meta"]["standardize"] is True
+        model = make_objective("gaussian", data_mod.standardize(load_libsvm(path)),
+                               Regularization(xi2=1e-6))
+        want = baseline_solve(model, np.zeros(5), BaselineConfig(method="newton", max_iter=1))
+        rows = (tmp_path / "o" / "trace.csv").read_text().strip().splitlines()[1:]
+        assert [float(line.split(",")[2]) for line in rows] == [r.f for r in want.trace]
+
+    def test_library_error_exits_1(self, runner, tmp_path):
+        res = runner.invoke(cli, _solve_args(tmp_path / "o", extra=["--rows", "500"]))
+        assert res.exit_code == 1
+        assert "rows=500 exceeds m=100" in res.output
 
 def _mixed_sign_poisson_file(runner, tmp_path):
     """A Haar-random Poisson dataset written by ``datagen``: its row sums have
@@ -601,3 +626,10 @@ def test_console_script_usage_error_exits_1():
                           "--model", "poisonn"], capture_output=True, text=True)
     assert res.returncode == 1, res.stderr
     assert "Invalid value for '--model'" in res.stderr
+
+
+def test_console_script_help_exits_0():
+    res = subprocess.run([sys.executable, "-m", "sigma_opt", "--help"], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert "solve" in res.stdout and "bench" in res.stdout

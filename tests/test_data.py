@@ -193,20 +193,33 @@ class TestCsv:
         with pytest.raises(DomainError):
             load_csv(p)
 
-    def test_error_lines_count_records(self, tmp_path):
-        # a line number counts the non-empty records, header included
+    def test_error_lines_are_file_lines(self, tmp_path):
+        # blank lines count: a line number is the file's, header included
         p = tmp_path / "d.csv"
-        p.write_text("x,y,z\n\n1,2,3\n\n1,2\n")
+        p.write_text("x,y,z\n1,2,3\n\n\n1,2\n")
         with pytest.raises(RaggedRows, match="expected 3 fields, got 2") as err:
             load_csv(p)
-        assert err.value.line == 3
+        assert err.value.line == 5
         p.write_text("1,2,3\n\n1,x,3\n1,2\n")
         with pytest.raises(ParseError, match="non-numeric value in") as err:
-            load_csv(p, label_column=7)  # the rows are checked before the label column
-        assert err.value.line == 2
-        p.write_text("1,2,3\n")
+            load_csv(p)
+        assert err.value.line == 3
+
+    def test_label_column_checked_before_the_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,3\n\n1,x,3\n1,2\n")
         with pytest.raises(InvalidDimensions, match="label column 7 out of range"):
             load_csv(p, label_column=7)
+        p.write_text("1,2,3\n")
+        with pytest.raises(InvalidDimensions, match="label column -1 out of range"):
+            load_csv(p, label_column=-1)
+
+    @pytest.mark.parametrize("text", ["1\n2\n3\n", "y\n1\n2\n"])
+    def test_featureless_rejected(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidDimensions, match="no features"):
+            load_csv(p)
 
     def test_peak_memory_is_a_few_matrices(self, tmp_path, gen):
         X = gen.standard_normal((1000, 301))
@@ -659,6 +672,7 @@ class TestLibsvmPaths:
     @pytest.mark.parametrize("text", [
         b"1 1:2\t3:4\n", b"1 1:2\x0b3:4\n", b"1 1:2\x0c3:4\n", b"1 1:2\r3:4\n",
         b"1 1:2\t3 :5\n",  # a tab is a separator too: three tokens, one without ':'
+        b"1 1:2\t3:4\n1 1:2\t3 :5\n",  # a line that is not canonical after another
         b"1  1:2\n", b"1 1:2  3:4\n", b"1 1.0:2\n", b"1 1e2:2\n", b"1 +1:2\n", b"1 01:2\n",
         b"1 1_0:2\n", b"1 1:1_0\n", b"1_0 1:2\n", b"+1 1:2\n-1 2:3\n", b"1 1:2:3 4\n",
         b"1 :2\n", b"1 1 :2\n", b"1 1:\n", b"1 1: 2:3\n", b"1 1::2\n", b"1 1:nan(1)\n",
@@ -799,6 +813,45 @@ class TestLibsvmChunks:
             _load_outcome(p)
         assert f"line {where + 1} is not canonical" in caplog.text
         _assert_same_as_token_path(p)
+
+    def test_only_the_failing_chunk_is_read_token_by_token(self, tmp_path, monkeypatch):
+        lines = ["1 1:0.5 2:1.5"] * 30
+        lines[14] = "-1 1:0.25\t3:2"  # line 15, the only line that is not canonical
+        p = tmp_path / "d.libsvm"
+        p.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(data, "_PARSE_CHUNK_BYTES", 64)
+        seen = []
+
+        def tokens(chunk, _orig=data._libsvm_tokens):
+            seen.append(list(chunk[1]))
+            return _orig(chunk)
+
+        monkeypatch.setattr(data, "_libsvm_tokens", tokens)
+        ds = load_libsvm(p)
+        # a chunk ends before the line, which heads the next chunk of 64 bytes
+        assert seen == [[15, 16, 17, 18, 19]]
+        assert ds.A.shape == (30, 3) and ds.A[14].tolist() == [0.25, 0.0, 2.0]
+        _assert_same_as_token_path(p)
+
+    def test_parse_error_before_a_later_undecodable_byte(self, tmp_path):
+        # text-mode reading decodes ahead of the parser: the bad line 2 still comes first
+        p = tmp_path / "d.libsvm"
+        body = b"1 1:0.5 2:1.5\n" * 2000 + b"1 1:\xff\n"
+        p.write_bytes(b"1 1:1\n1 1:x\n" + body)
+        with pytest.raises(ParseError, match="bad feature token") as err:
+            load_libsvm(p)
+        assert err.value.line == 2
+        _assert_same_as_token_path(p)
+        p.write_bytes(b"1 1:1\n" + body)
+        with pytest.raises(UnicodeDecodeError):
+            load_libsvm(p)
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_bytes(b"1 1:1\r\r\n1 1:x\n")
+        with pytest.raises(ParseError) as err:
+            load_libsvm(p)
+        assert err.value.line == 3
 
     def test_peak_memory_is_a_few_matrices(self, tmp_path, gen):
         A = np.asfortranarray(gen.standard_normal((1000, 300)))

@@ -22,8 +22,9 @@ logistic-tall benchmark's 4000 x 2000, each hashed in row-major order
 whatever its layout. Then come the loader lines, the sha256 of ``A`` and ``b``
 as loaded: ``load_libsvm`` on a ``write_libsvm`` file of a generated 2000 x
 500 matrix, on 20000 lines of one entry each and on a file with a tab in one
-line, which the token parser reads, and ``load_csv`` on a 200 x 51 file
-with a header. Last come the start lines: the sha256 of ``feasible_start``'s
+line, which the token parser reads, once as one chunk and once in chunks
+of 4096 bytes, the tab line in a middle one, and ``load_csv`` on a 200 x 51
+file with a header. Last come the start lines: the sha256 of ``feasible_start``'s
 point on a Haar-random Poisson draw whose row sums have mixed signs, which
 the positive-margin search decides, and a SIGMA run from that point.
 
@@ -52,6 +53,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import sigma_opt as so  # noqa: E402
+from sigma_opt import data  # noqa: E402
 from sigma_opt.core import haar_frame  # noqa: E402
 
 CHECK_MODES = ("always_coarse", "full_decrement", "euclidean_proxy", "nu_only")
@@ -100,6 +102,12 @@ def loaded():
         lines[150] = lines[150].replace(" ", "\t", 1)  # not canonical: the token parser reads it
         path.write_text("".join(lines))
         yield "load_libsvm-fallback-300x40", so.load_libsvm(path)
+        chunk_bytes, data._PARSE_CHUNK_BYTES = data._PARSE_CHUNK_BYTES, 4096
+        try:  # about 6 lines a chunk: the tab line is in a middle chunk
+            ds = so.load_libsvm(path)
+        finally:
+            data._PARSE_CHUNK_BYTES = chunk_bytes
+        yield "load_libsvm-fallback-300x40-chunks", ds
         X = gen.standard_normal((200, 51))
         path.write_text(",".join(f"x{j}" for j in range(51)) + "\n"
                         + "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
